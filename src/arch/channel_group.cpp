@@ -1,7 +1,7 @@
 #include "arch/channel_group.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <functional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -11,71 +11,99 @@ namespace mst {
 
 SocTimeTables::SocTimeTables(const Soc& soc, TableBuild build, int threads) : soc_(&soc)
 {
-    // Per-module staircases are independent, so the build — the dominant
-    // cost of a cold optimize call — fans out across the executor. Each
-    // slot is written by exactly one index and the tables are assembled
-    // in module order afterwards, so the result is byte-identical at any
-    // thread count. Small fast builds run inline (ITC'02-sized ones
-    // finish in well under the fan-out's wake-up cost); reference builds
-    // always fan out — each module's exhaustive schedule is expensive at
-    // any SOC size, and they are exactly what `bench --compare` times.
+    // Every row's extent is known up front, so the flat arrays are sized
+    // once and each module's slice is then filled in place by exactly
+    // one task: the result is byte-identical at any thread count.
     const auto count = static_cast<std::size_t>(soc.module_count());
+    offsets_.resize(count + 1);
+    for (std::size_t m = 0; m < count; ++m) {
+        offsets_[m + 1] = offsets_[m] + static_cast<std::size_t>(table_extent(soc.modules()[m]));
+    }
+    times_.resize(offsets_.back());
+    used_widths_.resize(offsets_.back());
+    suffix_min_areas_.resize(offsets_.back());
+    volumes_.resize(count);
+    const auto build_row = [&](std::size_t m) {
+        const std::size_t first = offsets_[m];
+        build_time_row(soc.modules()[m], build, offsets_[m + 1] - first, times_.data() + first,
+                       used_widths_.data() + first);
+        finish_row(m);
+    };
+    // The rows are independent, so the build — the dominant cost of a
+    // cold optimize call — fans out across the executor. Small fast
+    // builds run inline (ITC'02-sized ones finish in well under the
+    // fan-out's wake-up cost); reference builds always fan out — each
+    // module's exhaustive schedule is expensive at any SOC size, and
+    // they are exactly what `bench --compare` times.
     constexpr std::size_t parallel_build_threshold = 64;
     if (count < parallel_build_threshold && build == TableBuild::fast) {
-        tables_.reserve(count);
-        for (const Module& m : soc.modules()) {
-            tables_.emplace_back(m, 0, build);
+        for (std::size_t m = 0; m < count; ++m) {
+            build_row(m);
         }
     } else {
-        std::vector<std::optional<ModuleTimeTable>> slots(count);
-        parallel_for_index(count, threads, [&](std::size_t m) {
-            slots[m].emplace(soc.module(static_cast<int>(m)), 0, build);
-        });
-        tables_.reserve(count);
-        for (std::size_t m = 0; m < count; ++m) {
-            tables_.push_back(std::move(*slots[m]));
-        }
+        parallel_for_index(count, threads, build_row);
     }
-    flatten();
+    sum_min_areas();
 }
 
-SocTimeTables::SocTimeTables(const Soc& soc, std::vector<ModuleTimeTable> tables)
-    : soc_(&soc), tables_(std::move(tables))
+SocTimeTables::SocTimeTables(const Soc& soc, std::vector<std::size_t> offsets,
+                             TableArray<CycleCount> times, TableArray<WireCount> used_widths)
+    : soc_(&soc),
+      offsets_(std::move(offsets)),
+      times_(std::move(times)),
+      used_widths_(std::move(used_widths))
 {
-    if (tables_.size() != static_cast<std::size_t>(soc.module_count())) {
+    const auto count = static_cast<std::size_t>(soc.module_count());
+    if (offsets_.size() != count + 1) {
         throw ValidationError("restored time tables do not match the SOC's module count");
     }
-    flatten();
+    // Strictly increasing offsets from 0 to the array size: every row is
+    // non-empty and inside the arrays.
+    const bool rows_fit =
+        offsets_.front() == 0 && offsets_.back() == times_.size() &&
+        times_.size() == used_widths_.size() &&
+        std::adjacent_find(offsets_.begin(), offsets_.end(), std::greater_equal<>()) ==
+            offsets_.end();
+    if (!rows_fit) {
+        throw ValidationError("restored time table has inconsistent array sizes");
+    }
+    // The arrays come from a checksummed shared-memory blob, so damage
+    // is unlikely — but the restore path must never hand the optimizer
+    // a table violating the staircase invariants, so check them all.
+    for (std::size_t m = 0; m < count; ++m) {
+        for (std::size_t i = offsets_[m]; i < offsets_[m + 1]; ++i) {
+            const auto w = static_cast<WireCount>(i - offsets_[m]) + 1;
+            const bool first = i == offsets_[m];
+            if (times_[i] <= 0 || (!first && times_[i] > times_[i - 1])) {
+                throw ValidationError("restored time table is not non-increasing");
+            }
+            if (used_widths_[i] < 1 || used_widths_[i] > w ||
+                (!first && used_widths_[i] < used_widths_[i - 1])) {
+                throw ValidationError("restored time table has invalid used widths");
+            }
+        }
+    }
+    suffix_min_areas_.resize(times_.size());
+    volumes_.resize(count);
+    for (std::size_t m = 0; m < count; ++m) {
+        finish_row(m);
+    }
+    sum_min_areas();
 }
 
-void SocTimeTables::flatten()
+void SocTimeTables::finish_row(std::size_t m)
 {
-    // Flatten the staircases into the SoA hot-path mirror. Every index
-    // the flat accessors can produce is materialized here, which is what
-    // licenses the unchecked loads: module indices are validated by the
-    // offsets_ size (module_count() + 1 entries) and width clamping can
-    // never leave the module's [offsets_[m], offsets_[m + 1]) slice.
-    const std::size_t count = tables_.size();
+    const std::size_t first = offsets_[m];
+    fill_suffix_min_areas(times_.data() + first, offsets_[m + 1] - first,
+                          suffix_min_areas_.data() + first);
+    volumes_[m] = soc_->modules()[m].test_data_volume_bits();
+}
+
+void SocTimeTables::sum_min_areas() noexcept
+{
     total_min_area_ = 0;
-    for (const ModuleTimeTable& table : tables_) {
-        total_min_area_ += table.min_area();
-    }
-    offsets_.reserve(count + 1);
-    offsets_.push_back(0);
-    std::size_t total_widths = 0;
-    for (const ModuleTimeTable& table : tables_) {
-        total_widths += static_cast<std::size_t>(table.max_width());
-        offsets_.push_back(total_widths);
-    }
-    times_flat_.reserve(total_widths);
-    suffix_min_area_flat_.reserve(total_widths);
-    volumes_.reserve(count);
-    for (const ModuleTimeTable& table : tables_) {
-        const std::vector<CycleCount>& times = table.effective_times();
-        const std::vector<CycleCount>& areas = table.suffix_min_areas();
-        times_flat_.insert(times_flat_.end(), times.begin(), times.end());
-        suffix_min_area_flat_.insert(suffix_min_area_flat_.end(), areas.begin(), areas.end());
-        volumes_.push_back(table.module().test_data_volume_bits());
+    for (int m = 0; m < module_count(); ++m) {
+        total_min_area_ += min_area(m);
     }
 }
 
@@ -184,7 +212,7 @@ WireCount ChannelGroup::min_widening_for(int module_index, CycleCount depth,
         return 0;
     }
     // fits(delta) is monotone in delta: every member time and the
-    // candidate's time are non-increasing in width (ModuleTimeTable
+    // candidate's time are non-increasing in width (SocTimeTables
     // serves *effective* times), so member-sum + candidate is too. The
     // linear scan this replaces returned the first fitting delta, which
     // monotonicity makes the unique boundary — a gallop + binary search

@@ -7,7 +7,7 @@
 //
 // Both classes here sit on the innermost greedy-packing loop, so they
 // are built around incremental state instead of recomputation:
-// SocTimeTables flattens every module staircase into one contiguous
+// SocTimeTables stores every module staircase once, in one contiguous
 // block (a time lookup is a single indexed load), and ChannelGroup
 // maintains a lazily-extended *fill staircase* — cached member-time
 // sums at widths beyond the current one — so fill-at-width queries and
@@ -20,7 +20,10 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -29,17 +32,47 @@
 
 namespace mst {
 
+/// std::allocator whose value-less construct() default-initializes, so
+/// resize() leaves new scalars unwritten instead of zeroing them. The
+/// table build overwrites every entry anyway, in parallel; zeroing first
+/// would be an extra serial pass over the whole block.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+    using std::allocator<T>::allocator;
+    template <class U>
+    struct rebind {
+        using other = DefaultInitAllocator<U>;
+    };
+    template <class U>
+    void construct(U* p) noexcept
+    {
+        ::new (static_cast<void*>(p)) U;
+    }
+    template <class U, class... Args>
+    void construct(U* p, Args&&... args)
+    {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/// Storage of one flat per-entry table array.
+template <class T>
+using TableArray = std::vector<T, DefaultInitAllocator<T>>;
+
 /// Precomputed width/time staircases for every module of an SOC.
 /// The SOC must outlive the tables. Immutable after construction, so one
 /// instance can be shared freely across threads (BatchRunner builds one
 /// per distinct SOC and hands it to every scenario of that SOC).
 ///
-/// Besides the per-module ModuleTimeTable objects, the constructor
-/// flattens the staircases into one contiguous structure-of-arrays
-/// block (times, suffix-min areas, per-module offsets, test-data
-/// volumes), validated once at build time. The flat accessors below are
-/// the packing hot path: no bounds-checked `.at()`, no object hop — a
-/// debug assert guards the contract in debug builds.
+/// The tables are stored once, as flat structure-of-arrays blocks: module
+/// m owns entries [offsets_[m], offsets_[m + 1]) of the times, used-width
+/// and suffix-min-area arrays, entry i holding the value at width i + 1.
+/// Every module's extent (its saturation width, wrapper/pareto.hpp) is
+/// known before any row is built, so the constructor sizes the arrays
+/// first and then fills the disjoint per-module slices in parallel. The
+/// accessors below are the packing hot path as well as the cold readers'
+/// interface: no bounds-checked `.at()`, no object hop — a debug assert
+/// guards the contract in debug builds.
 class SocTimeTables {
 public:
     /// `threads` caps the parallel per-module build (<= 0: whole shared
@@ -47,29 +80,27 @@ public:
     explicit SocTimeTables(const Soc& soc, TableBuild build = TableBuild::fast,
                            int threads = 0);
 
-    /// Restore from per-module tables deserialized out of the shared-
-    /// memory cache tier (src/shm/store.hpp). `tables[i]` must reference
-    /// soc.module(i); the flattened hot-path mirror is rebuilt through
-    /// the same code the building constructor uses, so a restored
-    /// instance is byte-identical to a fresh build. Throws
-    /// ValidationError on a module-count mismatch.
-    SocTimeTables(const Soc& soc, std::vector<ModuleTimeTable> tables);
+    /// Restore from the serialized staircases of the shared-memory cache
+    /// tier (src/shm/store.hpp): module m's row is entries [offsets[m],
+    /// offsets[m + 1]) of `times` and `used_widths`. The suffix-min areas,
+    /// volumes and total min area are derived through the same code a
+    /// fresh build uses, so a restored instance is byte-identical to the
+    /// original. Throws ValidationError when the arrays do not fit the
+    /// SOC or violate a staircase invariant (empty rows, non-monotone
+    /// times, out-of-range used widths).
+    SocTimeTables(const Soc& soc, std::vector<std::size_t> offsets,
+                  TableArray<CycleCount> times, TableArray<WireCount> used_widths);
 
     [[nodiscard]] const Soc& soc() const noexcept { return *soc_; }
-    [[nodiscard]] const ModuleTimeTable& table(int module_index) const noexcept
-    {
-        assert(module_index >= 0 && module_index < module_count());
-        return tables_[static_cast<std::size_t>(module_index)];
-    }
-    [[nodiscard]] int module_count() const noexcept { return static_cast<int>(tables_.size()); }
+    [[nodiscard]] int module_count() const noexcept { return static_cast<int>(volumes_.size()); }
 
     /// Sum over modules of the minimum width*time rectangle area: the
     /// theoretical packing floor both search loops start from.
     [[nodiscard]] CycleCount total_min_area() const noexcept { return total_min_area_; }
 
-    // --- Flat hot-path accessors (all O(1), unchecked in release) ---
+    // --- Flat accessors (all O(1), unchecked in release) ---
 
-    /// Widths recorded for `module_index` (== its table's max_width()).
+    /// Widths recorded for `module_index`; wider widths saturate.
     [[nodiscard]] WireCount flat_max_width(int module_index) const noexcept
     {
         assert(module_index >= 0 && module_index < module_count());
@@ -78,17 +109,17 @@ public:
     }
 
     /// Effective (monotone non-increasing) test time of `module_index`
-    /// at `width`; widths beyond the module's table saturate. Identical
-    /// to table(module_index).time(width) minus the checks.
+    /// at `width`; widths beyond the module's row saturate.
     [[nodiscard]] CycleCount time(int module_index, WireCount width) const noexcept
     {
-        assert(width >= 1);
-        const auto m = static_cast<std::size_t>(module_index);
-        const auto count = offsets_[m + 1] - offsets_[m];
-        const auto clamped = static_cast<std::size_t>(width) < count
-                                 ? static_cast<std::size_t>(width)
-                                 : count;
-        return times_flat_[offsets_[m] + clamped - 1];
+        return times_[entry(module_index, width)];
+    }
+
+    /// Width the module actually uses when `width` wires are offered
+    /// (<= width): the first width achieving time(module_index, width).
+    [[nodiscard]] WireCount used_width(int module_index, WireCount width) const noexcept
+    {
+        return used_widths_[entry(module_index, width)];
     }
 
     /// One module's staircase slice, for loops that probe the same
@@ -111,32 +142,36 @@ public:
     {
         assert(module_index >= 0 && module_index < module_count());
         const auto m = static_cast<std::size_t>(module_index);
-        return {times_flat_.data() + offsets_[m], offsets_[m + 1] - offsets_[m]};
+        return {times_.data() + offsets_[m], offsets_[m + 1] - offsets_[m]};
     }
 
     /// Minimum width*time rectangle area of `module_index` over widths
-    /// >= `width` (the per-depth packing floor; see ModuleTimeTable).
+    /// >= `width`. In any packing whose every group fill stays within a
+    /// depth D, the module sits on a group at least min_width_for(D)
+    /// wide, so min_area_from(min_width_for(D)) lower-bounds the
+    /// wire-cycles it occupies — the per-depth packing floor PackEngine
+    /// uses to prune provably-infeasible (depth, budget) queries.
     [[nodiscard]] CycleCount min_area_from(int module_index, WireCount width) const noexcept
     {
-        assert(width >= 1);
-        const auto m = static_cast<std::size_t>(module_index);
-        const auto count = offsets_[m + 1] - offsets_[m];
-        const auto clamped = static_cast<std::size_t>(width) < count
-                                 ? static_cast<std::size_t>(width)
-                                 : count;
-        return suffix_min_area_flat_[offsets_[m] + clamped - 1];
+        return suffix_min_areas_[entry(module_index, width)];
+    }
+
+    /// Minimum width*time rectangle area of `module_index` over all
+    /// widths (the baseline's per-module packing area).
+    [[nodiscard]] CycleCount min_area(int module_index) const noexcept
+    {
+        return min_area_from(module_index, 1);
     }
 
     /// Minimal width of `module_index` whose effective time fits in
-    /// `depth`, or nullopt if even the maximal width does not fit.
-    /// Identical to table(module_index).min_width_for(depth), served by
-    /// a binary search over the flat times block.
+    /// `depth`, or nullopt if even the maximal width does not fit:
+    /// a binary search over the module's times.
     [[nodiscard]] std::optional<WireCount> min_width_for(int module_index,
                                                          CycleCount depth) const noexcept
     {
         const auto m = static_cast<std::size_t>(module_index);
-        const CycleCount* first = times_flat_.data() + offsets_[m];
-        const CycleCount* last = times_flat_.data() + offsets_[m + 1];
+        const CycleCount* first = times_.data() + offsets_[m];
+        const CycleCount* last = times_.data() + offsets_[m + 1];
         if (*(last - 1) > depth) {
             return std::nullopt;
         }
@@ -156,19 +191,34 @@ public:
     }
 
 private:
-    /// Build the flat SoA mirror and total_min_area_ from tables_.
-    void flatten();
+    /// Flat index of `module_index` at `width`, clamped into its row.
+    /// Every index this can produce is materialized, which is what
+    /// licenses the unchecked loads: module indices are validated by the
+    /// offsets_ size (module_count() + 1 entries) and clamping never
+    /// leaves the module's [offsets_[m], offsets_[m + 1]) slice.
+    [[nodiscard]] std::size_t entry(int module_index, WireCount width) const noexcept
+    {
+        assert(module_index >= 0 && module_index < module_count());
+        assert(width >= 1);
+        const auto m = static_cast<std::size_t>(module_index);
+        const auto count = offsets_[m + 1] - offsets_[m];
+        const auto clamped = static_cast<std::size_t>(width) < count
+                                 ? static_cast<std::size_t>(width)
+                                 : count;
+        return offsets_[m] + clamped - 1;
+    }
+
+    /// Derive the suffix-min areas of module `m`'s row and its volume.
+    void finish_row(std::size_t m);
+    /// Sum the per-module min areas into total_min_area_.
+    void sum_min_areas() noexcept;
 
     const Soc* soc_;
-    std::vector<ModuleTimeTable> tables_;
     CycleCount total_min_area_ = 0;
-
-    /// Flat SoA mirror of the per-module staircases: module m owns
-    /// entries [offsets_[m], offsets_[m + 1]) of the value arrays,
-    /// entry i holding the value at width i + 1.
     std::vector<std::size_t> offsets_;
-    std::vector<CycleCount> times_flat_;
-    std::vector<CycleCount> suffix_min_area_flat_;
+    TableArray<CycleCount> times_;
+    TableArray<WireCount> used_widths_;
+    TableArray<CycleCount> suffix_min_areas_;
     std::vector<std::int64_t> volumes_;
 };
 

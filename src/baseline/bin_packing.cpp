@@ -73,7 +73,7 @@ void eliminate_columns(std::vector<Column>& columns,
             Column* best = nullptr;
             CycleCount best_height = 0;
             for (Column& column : trial) {
-                const CycleCount height = tables.table(rect.module_index).time(column.width);
+                const CycleCount height = tables.time(rect.module_index, column.width);
                 if (column.fill + height <= depth &&
                     (best == nullptr || column.fill + height < best->fill + best_height)) {
                     best = &column;

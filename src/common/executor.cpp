@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include <pthread.h>
+
 namespace mst {
 
 Executor::Executor(int workers) : worker_target_(std::max(workers, 0)) {}
@@ -18,14 +20,35 @@ Executor::~Executor()
     }
 }
 
+namespace {
+
+/// hardware_concurrency - 1 workers: the thread calling for_index is the
+/// remaining lane. At least one worker even on single-core machines, so
+/// the cross-thread code paths always run.
+int global_worker_count()
+{
+    return std::max(1, static_cast<int>(std::thread::hardware_concurrency()) - 1);
+}
+
+/// The pool of a forked child (see Executor::global).
+Executor* forked_pool = nullptr;
+
+} // namespace
+
 Executor& Executor::global()
 {
-    // hardware_concurrency - 1 workers: the thread calling for_index is
-    // the remaining lane. At least one worker even on single-core
-    // machines, so the cross-thread code paths always run.
-    static Executor instance(
-        std::max(1, static_cast<int>(std::thread::hardware_concurrency()) - 1));
-    return instance;
+    static Executor instance(global_worker_count());
+    // A forked child holds only the forking thread: the workers, and the
+    // waiters that the pool's condition variable still counts, stayed in
+    // the parent. Signalling that condition variable can then block for
+    // good, waiting for waiters that will never leave, so a child
+    // switches to a fresh pool that starts its own workers on first use.
+    // The inherited pool is never touched again (nor destroyed: its
+    // workers cannot be joined here).
+    static const int fork_handler = ::pthread_atfork(
+        nullptr, nullptr, [] { forked_pool = new Executor(global_worker_count()); });
+    (void)fork_handler;
+    return forked_pool != nullptr ? *forked_pool : instance;
 }
 
 void Executor::run_loop(const std::shared_ptr<LoopState>& state)

@@ -6,7 +6,8 @@
 // Design rules:
 //   * The process owns exactly one pool (Executor::global()); explicit
 //     instances exist for tests. Workers start on first use, so programs
-//     that never go parallel never spawn a thread.
+//     that never go parallel never spawn a thread. A forked child gets a
+//     fresh pool of its own: the parent's workers do not survive fork.
 //   * for_index() is the blocking fan-out primitive: the calling thread
 //     participates in the loop, so nesting a for_index inside a pool
 //     task can never deadlock — if every worker is busy, the nested

@@ -265,6 +265,17 @@ Listener Listener::adopt(int fd)
     }
     Listener listener(fd);
     listener.shared_ = true;
+    // Non-blocking: one arriving connection wakes the poll() of every
+    // process sharing the listener, and only one wins accept4(). A
+    // blocking loser would sleep inside accept4 — through SIGTERM, since
+    // an adopted listener is never shut down — until the next
+    // connection; non-blocking, it gets EAGAIN (transient) and returns
+    // to its poll loop. O_NONBLOCK lives on the shared open file
+    // description, so setting it again per adopter is idempotent.
+    const int flags = ::fcntl(fd, F_GETFL);
+    if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
+        fail_errno("make adopted listener non-blocking");
+    }
     return listener;
 }
 

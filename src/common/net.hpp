@@ -134,7 +134,10 @@ public:
     /// it). The underlying open file description is shared with the
     /// parent and sibling workers, so close() on an adopted listener
     /// skips the shutdown() wake — it must not tear down accepts
-    /// pool-wide. Throws ValidationError on a negative fd.
+    /// pool-wide. The descriptor is made non-blocking, so a worker that
+    /// loses the accept race to a sibling returns to its poll loop
+    /// instead of blocking in accept. Throws ValidationError on a
+    /// negative fd and mst::Error when the flags cannot be set.
     [[nodiscard]] static Listener adopt(int fd);
 
     /// Duplicate the listening descriptor (the prefork parent keeps its

@@ -25,15 +25,22 @@ ShutdownLatch& ShutdownLatch::global()
 ShutdownLatch::ShutdownLatch()
 {
     int fds[2] = {-1, -1};
-    if (::pipe(fds) == 0) {
+    if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) == 0) {
         pipe_read_ = fds[0];
         pipe_write_ = fds[1];
-        for (const int fd : fds) {
-            const int flags = ::fcntl(fd, F_GETFL);
-            (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-            (void)::fcntl(fd, F_SETFD, FD_CLOEXEC);
-        }
     }
+}
+
+void ShutdownLatch::detach_after_fork() noexcept
+{
+    int fds[2] = {-1, -1};
+    if (pipe_read_ < 0 || ::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) {
+        return;
+    }
+    (void)::dup3(fds[0], pipe_read_, O_CLOEXEC);
+    (void)::dup3(fds[1], pipe_write_, O_CLOEXEC);
+    (void)::close(fds[0]);
+    (void)::close(fds[1]);
 }
 
 void ShutdownLatch::install_handlers()

@@ -33,6 +33,15 @@ public:
     /// Re-arm for the next test (not used in production).
     void reset() noexcept;
 
+    /// Give a forked child its own self-pipe. Both ends are
+    /// non-blocking, so the inherited pipe can never block anyone — but
+    /// it is shared with the parent and every sibling: one worker's
+    /// SIGTERM byte would leave everyone else's poll() readable for
+    /// good and spin their loops. The new pipe is dup'ed onto the same
+    /// descriptor numbers, so a signal handler running meanwhile writes
+    /// to a valid pipe either way. The requested flag is kept.
+    void detach_after_fork() noexcept;
+
 private:
     ShutdownLatch();
 

@@ -10,7 +10,7 @@
 //     (tests/golden_fingerprint_test.cpp), off via OptimizeOptions::memoize.
 //   * pruning — a (depth, budget) query whose per-depth area floor
 //     (sum of each module's minimum width*time rectangle at its minimal
-//     width, see ModuleTimeTable::min_area_from) exceeds budget * depth
+//     width, see SocTimeTables::min_area_from) exceeds budget * depth
 //     provably has no packing, so it is answered infeasible without
 //     running a single greedy pass.
 //   * parallelism — pack_batch() evaluates many queries at once: distinct

@@ -37,8 +37,7 @@ std::string render_gantt(const Architecture& architecture, CycleCount depth, int
         out << "TAM " << ++group_number << " [w=" << group.width() << "] |";
         std::string row;
         for (const int module_index : group.module_indices()) {
-            const CycleCount time =
-                architecture.tables().table(module_index).time(group.width());
+            const CycleCount time = architecture.tables().time(module_index, group.width());
             const auto cells = static_cast<std::size_t>(
                 std::max<long>(1, std::lround(static_cast<double>(time) * scale)));
             row.append(cells, block_letter(module_index));

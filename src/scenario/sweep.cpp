@@ -334,9 +334,8 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
 
     // Phase 2: execute pending shards — inline with retry/quarantine,
     // or fanned out across supervised forked worker processes (one fork
-    // per shard, at most W in flight). Forking happens before this
-    // process has done any optimizer work, so no half-initialized
-    // executor pool is ever duplicated into a child.
+    // per shard, at most W in flight). A child never uses the pool it
+    // inherits: Executor::global() hands it a fresh one.
     const int workers = std::min<int>(options.workers, static_cast<int>(pending.size()));
     if (workers > 1) {
         struct ShardState {

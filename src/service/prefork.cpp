@@ -118,6 +118,7 @@ bool write_port_file(const std::string& path, const net::Endpoint& bound)
     // crash rules stop firing in the respawned worker, so a chaos plan
     // kills a worker once instead of forever.
     fault::set_attempt(attempt);
+    latch.detach_after_fork();
     int exit_code = 0;
     {
         std::unique_ptr<Server> server;

@@ -93,20 +93,18 @@ std::string ShmStore::encode_tables(const SocTimeTables& tables)
 {
     // Per module: the effective-time and used-width staircases — the
     // complete serialized state; every other field is derived on
-    // restore (see ModuleTimeTable's restore constructor).
+    // restore (see SocTimeTables' restore constructor).
     std::string blob;
     const int count = tables.module_count();
     put_u32(blob, static_cast<std::uint32_t>(count));
     for (int m = 0; m < count; ++m) {
-        const ModuleTimeTable& table = tables.table(m);
-        const auto& times = table.effective_times();
-        const auto& used = table.used_width_table();
-        put_u32(blob, static_cast<std::uint32_t>(times.size()));
-        for (const CycleCount time : times) {
-            put_u64(blob, static_cast<std::uint64_t>(time));
+        const WireCount widths = tables.flat_max_width(m);
+        put_u32(blob, static_cast<std::uint32_t>(widths));
+        for (WireCount w = 1; w <= widths; ++w) {
+            put_u64(blob, static_cast<std::uint64_t>(tables.time(m, w)));
         }
-        for (const WireCount width : used) {
-            put_u32(blob, static_cast<std::uint32_t>(width));
+        for (WireCount w = 1; w <= widths; ++w) {
+            put_u32(blob, static_cast<std::uint32_t>(tables.used_width(m, w)));
         }
     }
     return blob;
@@ -120,30 +118,31 @@ std::unique_ptr<SocTimeTables> ShmStore::decode_tables(const std::string& blob,
     if (count != static_cast<std::uint32_t>(soc.module_count())) {
         throw ValidationError("shm tables blob does not match the SOC's module count");
     }
-    std::vector<ModuleTimeTable> tables;
-    tables.reserve(count);
+    std::vector<std::size_t> offsets{0};
+    offsets.reserve(std::size_t{count} + 1);
+    // Each entry takes 12 blob bytes: an upper bound on the row widths.
+    TableArray<CycleCount> times;
+    TableArray<WireCount> used;
+    times.reserve(blob.size() / 12);
+    used.reserve(blob.size() / 12);
     for (std::uint32_t m = 0; m < count; ++m) {
         const std::uint32_t widths = reader.u32();
         if (widths == 0 || widths > kMaxWidths) {
             throw ValidationError("shm tables blob has an invalid width count");
         }
-        std::vector<CycleCount> times;
-        times.reserve(widths);
+        offsets.push_back(offsets.back() + widths);
         for (std::uint32_t w = 0; w < widths; ++w) {
             times.push_back(static_cast<CycleCount>(reader.u64()));
         }
-        std::vector<WireCount> used;
-        used.reserve(widths);
         for (std::uint32_t w = 0; w < widths; ++w) {
             used.push_back(static_cast<WireCount>(reader.u32()));
         }
-        tables.emplace_back(soc.module(static_cast<int>(m)), std::move(times),
-                            std::move(used));
     }
     if (reader.pos != blob.size()) {
         throw ValidationError("shm tables blob has trailing bytes");
     }
-    return std::make_unique<SocTimeTables>(soc, std::move(tables));
+    return std::make_unique<SocTimeTables>(soc, std::move(offsets), std::move(times),
+                                           std::move(used));
 }
 
 std::string ShmStore::encode_outcome(const std::string& memo_key,

@@ -14,6 +14,12 @@
 //   module c6288 inputs 32 outputs 32 bidirs 0 patterns 12
 //   module s9234 inputs 36 outputs 39 bidirs 0 patterns 105 scan 54 53 52 52
 //   end
+//
+// Counts are decimal with an optional sign (leading zeros allowed);
+// tokens split on spaces, tabs, CR, VT and FF. Terminal counts must fit
+// an int, pattern counts and chain lengths a 64-bit integer. All three
+// entry points run the same single pass over the whole text: string
+// views for lines and tokens, std::from_chars for the numbers.
 #pragma once
 
 #include <iosfwd>
@@ -23,9 +29,9 @@
 
 namespace mst {
 
-/// Parse a .soc description from a stream. `origin` is used in error
-/// messages only. Throws ParseError on malformed input and
-/// ValidationError on semantically invalid data.
+/// Parse a .soc description from a stream (read to its end first).
+/// `origin` is used in error messages only. Throws ParseError, with the
+/// offending line, on malformed input and on semantically invalid data.
 [[nodiscard]] Soc parse_soc(std::istream& in, std::string_view origin = "<stream>");
 
 /// Parse a .soc description held in a string.

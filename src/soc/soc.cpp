@@ -16,7 +16,9 @@ Soc::Soc(std::string name, std::vector<Module> modules)
     if (modules_.empty()) {
         throw ValidationError("SOC '" + name_ + "' must contain at least one module");
     }
-    std::unordered_set<std::string> seen;
+    // Views into modules_, which does not move again: no name is copied.
+    std::unordered_set<std::string_view> seen;
+    seen.reserve(modules_.size());
     for (const Module& m : modules_) {
         if (!seen.insert(m.name()).second) {
             throw ValidationError("SOC '" + name_ + "' has duplicate module name '" + m.name() + "'");

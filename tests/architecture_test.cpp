@@ -91,7 +91,7 @@ TEST(Architecture, CompactRemovesRedundantGroup)
     arch.add_module(big, 1);
     arch.add_module(arch.add_group(1), 2);
 
-    const CycleCount depth = arch.groups()[0].fill() + tables.table(2).time(4) + 1000;
+    const CycleCount depth = arch.groups()[0].fill() + tables.time(2, 4) + 1000;
     const WireCount saved = arch.compact(depth);
     EXPECT_EQ(saved, 1);
     EXPECT_EQ(arch.groups().size(), 1u);

@@ -29,9 +29,8 @@ TEST(Rectangles, NarrowestFitSelectsMinimalWidths)
     ASSERT_TRUE(rectangles.has_value());
     ASSERT_EQ(rectangles->size(), static_cast<std::size_t>(soc.module_count()));
     for (const ModuleRectangle& rect : *rectangles) {
-        const ModuleTimeTable& table = tables.table(rect.module_index);
-        EXPECT_EQ(rect.width, table.min_width_for(48 * kibi).value());
-        EXPECT_EQ(rect.height, table.time(rect.width));
+        EXPECT_EQ(rect.width, tables.min_width_for(rect.module_index, 48 * kibi).value());
+        EXPECT_EQ(rect.height, tables.time(rect.module_index, rect.width));
         EXPECT_LE(rect.height, 48 * kibi);
         EXPECT_EQ(rect.area(), static_cast<CycleCount>(rect.width) * rect.height);
     }
@@ -55,7 +54,7 @@ TEST(LowerBound, DominatedByWidestModuleOrArea)
     ASSERT_TRUE(wide.has_value());
     EXPECT_EQ(*wide, 1);
     // Tight depth: the widest-module term takes over.
-    const CycleCount tight = tables.table(0).time(2) + 1;
+    const CycleCount tight = tables.time(0, 2) + 1;
     const auto lb = lower_bound_wires(tables, tight);
     ASSERT_TRUE(lb.has_value());
     EXPECT_GE(*lb, 2);

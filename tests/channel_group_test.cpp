@@ -2,9 +2,13 @@
 // the minimal-widening query.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "arch/channel_group.hpp"
 #include "common/error.hpp"
 #include "soc/soc.hpp"
+#include "wrapper/wrapper_design.hpp"
 
 namespace mst {
 namespace {
@@ -21,8 +25,9 @@ TEST(SocTimeTables, OneTablePerModule)
     const SocTimeTables tables(soc);
     EXPECT_EQ(tables.module_count(), 2);
     EXPECT_EQ(&tables.soc(), &soc);
-    EXPECT_EQ(&tables.table(0).module(), &soc.module(0));
-    EXPECT_EQ(&tables.table(1).module(), &soc.module(1));
+    for (int m = 0; m < tables.module_count(); ++m) {
+        EXPECT_EQ(tables.flat_max_width(m), table_extent(soc.module(m)));
+    }
 }
 
 TEST(ChannelGroup, RejectsNonPositiveWidth)
@@ -39,10 +44,10 @@ TEST(ChannelGroup, FillAccumulatesMemberTimes)
     ChannelGroup group(2, tables);
     EXPECT_EQ(group.fill(), 0);
     group.add_module(0);
-    const CycleCount first = tables.table(0).time(2);
+    const CycleCount first = tables.time(0, 2);
     EXPECT_EQ(group.fill(), first);
     group.add_module(1);
-    EXPECT_EQ(group.fill(), first + tables.table(1).time(2));
+    EXPECT_EQ(group.fill(), first + tables.time(1, 2));
     EXPECT_EQ(group.fill(), group.fill_at_width(2));
 }
 
@@ -55,7 +60,7 @@ TEST(ChannelGroup, FillWithPreviewsWithoutMutating)
     const CycleCount before = group.fill();
     const CycleCount preview = group.fill_with(1);
     EXPECT_EQ(group.fill(), before);
-    EXPECT_EQ(preview, before + tables.table(1).time(2));
+    EXPECT_EQ(preview, before + tables.time(1, 2));
 }
 
 TEST(ChannelGroup, WideningReWrapsMembers)
@@ -67,7 +72,7 @@ TEST(ChannelGroup, WideningReWrapsMembers)
     const CycleCount narrow_fill = group.fill();
     group.widen(2);
     EXPECT_EQ(group.width(), 3);
-    EXPECT_EQ(group.fill(), tables.table(1).time(3));
+    EXPECT_EQ(group.fill(), tables.time(1, 3));
     EXPECT_LT(group.fill(), narrow_fill);
 }
 
@@ -88,7 +93,7 @@ TEST(ChannelGroup, MinWideningFindsSmallestDelta)
 
     // Pick a depth that the 1-wire group cannot host module 1 in, but a
     // wider group can.
-    const CycleCount depth = tables.table(0).time(2) + tables.table(1).time(2);
+    const CycleCount depth = tables.time(0, 2) + tables.time(1, 2);
     if (group.fill_with(1) <= depth) {
         GTEST_SKIP() << "depth choice does not exercise widening on this data";
     }
@@ -96,10 +101,10 @@ TEST(ChannelGroup, MinWideningFindsSmallestDelta)
     ASSERT_GT(delta, 0);
     // Check minimality by construction.
     const WireCount width = group.width() + delta;
-    EXPECT_LE(group.fill_at_width(width) + tables.table(1).time(width), depth);
+    EXPECT_LE(group.fill_at_width(width) + tables.time(1, width), depth);
     if (delta > 1) {
         const WireCount narrower = width - 1;
-        EXPECT_GT(group.fill_at_width(narrower) + tables.table(1).time(narrower), depth);
+        EXPECT_GT(group.fill_at_width(narrower) + tables.time(1, narrower), depth);
     }
 }
 
@@ -118,27 +123,39 @@ TEST(ChannelGroup, ResetReArmsAPooledGroup)
     EXPECT_TRUE(group.module_indices().empty());
     // A reset group behaves exactly like a freshly constructed one.
     group.add_module(1);
-    EXPECT_EQ(group.fill(), tables.table(1).time(4));
-    EXPECT_EQ(group.fill_at_width(6), tables.table(1).time(6));
+    EXPECT_EQ(group.fill(), tables.time(1, 4));
+    EXPECT_EQ(group.fill_at_width(6), tables.time(1, 6));
     EXPECT_THROW(group.reset(0), ValidationError);
 }
 
-TEST(SocTimeTables, FlatAccessorsMirrorTheTables)
+TEST(SocTimeTables, FlatAccessorsMatchBruteForce)
 {
     const Soc soc = two_module_soc();
     const SocTimeTables tables(soc);
     for (int m = 0; m < tables.module_count(); ++m) {
-        const ModuleTimeTable& table = tables.table(m);
-        EXPECT_EQ(tables.flat_max_width(m), table.max_width());
-        EXPECT_EQ(tables.volume_bits(m), table.module().test_data_volume_bits());
-        for (WireCount w = 1; w <= table.max_width() + 4; ++w) {
-            EXPECT_EQ(tables.time(m, w), table.time(w)) << "m=" << m << " w=" << w;
-            EXPECT_EQ(tables.min_area_from(m, w), table.min_area_from(w))
+        const Module& module = soc.module(m);
+        const WireCount widths = tables.flat_max_width(m);
+        EXPECT_EQ(tables.volume_bits(m), module.test_data_volume_bits());
+        CycleCount best = 0;
+        for (WireCount w = 1; w <= widths + 4; ++w) {
+            const CycleCount raw = wrapped_test_time(module, std::min(w, widths));
+            best = w == 1 ? raw : std::min(best, raw);
+            EXPECT_EQ(tables.time(m, w), best) << "m=" << m << " w=" << w;
+            EXPECT_EQ(wrapped_test_time(module, tables.used_width(m, w)), best)
                 << "m=" << m << " w=" << w;
+            CycleCount floor = tables.time(m, widths) * widths;
+            for (WireCount v = std::min(w, widths); v <= widths; ++v) {
+                floor = std::min(floor, tables.time(m, v) * v);
+            }
+            EXPECT_EQ(tables.min_area_from(m, w), floor) << "m=" << m << " w=" << w;
         }
-        for (const CycleCount depth : {CycleCount{1}, table.time(1), table.time(2),
+        for (const CycleCount depth : {CycleCount{1}, tables.time(m, 1), tables.time(m, 2),
                                        CycleCount{100'000'000}}) {
-            EXPECT_EQ(tables.min_width_for(m, depth), table.min_width_for(depth))
+            std::optional<WireCount> narrowest;
+            for (WireCount w = widths; w >= 1 && tables.time(m, w) <= depth; --w) {
+                narrowest = w;
+            }
+            EXPECT_EQ(tables.min_width_for(m, depth), narrowest)
                 << "m=" << m << " depth=" << depth;
         }
     }

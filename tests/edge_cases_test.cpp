@@ -47,12 +47,12 @@ TEST(EdgeCases, SinglePatternModule)
 
 TEST(EdgeCases, VeryLongSingleChainDominatesEverything)
 {
-    const Module m("snake", 1, 1, 0, 10, {10'000});
-    const ModuleTimeTable table(m);
+    const Soc soc("snake", {Module("snake", 1, 1, 0, 10, {10'000})});
+    const SocTimeTables tables(soc);
     // Width 2 moves the functional cells off the chain; beyond that no
     // width can break the indivisible chain, so the staircase is flat.
-    EXPECT_EQ(table.time(2), table.time(table.max_width()));
-    EXPECT_LE(table.time(1) - table.time(2), 10 * 2); // only the cells moved
+    EXPECT_EQ(tables.time(0, 2), tables.time(0, tables.flat_max_width(0)));
+    EXPECT_LE(tables.time(0, 1) - tables.time(0, 2), 10 * 2); // only the cells moved
 }
 
 TEST(EdgeCases, ManyTinyModulesShareOneWire)
@@ -74,7 +74,7 @@ TEST(EdgeCases, DepthExactlyAtTheBoundary)
 {
     const Soc soc("fit", {Module("m", 2, 2, 0, 10, {20})});
     const SocTimeTables tables(soc);
-    const CycleCount exact_fit = tables.table(0).time(1);
+    const CycleCount exact_fit = tables.time(0, 1);
     TestCell cell;
     cell.ate.channels = 8;
     cell.ate.vector_memory_depth = exact_fit; // <= is allowed
@@ -127,7 +127,7 @@ TEST(EdgeCases, StepOneWithWidthCapModules)
     // A module with enormous terminal counts exercises the width cap.
     const Soc soc("fat", {Module("m", 2000, 2000, 0, 4, {})});
     const SocTimeTables tables(soc);
-    EXPECT_LE(tables.table(0).max_width(), width_cap);
+    EXPECT_LE(tables.flat_max_width(0), width_cap);
     TestCell cell;
     cell.ate.channels = 2 * width_cap + 64;
     cell.ate.vector_memory_depth = 64;

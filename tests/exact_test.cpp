@@ -18,10 +18,10 @@ TEST(Exact, SingleModuleEqualsItsMinWidth)
 {
     const Soc soc("solo", {Module("m", 4, 4, 0, 50, {30, 20})});
     const SocTimeTables tables(soc);
-    const CycleCount depth = tables.table(0).time(2) + 5;
+    const CycleCount depth = tables.time(0, 2) + 5;
     const auto result = exact_min_wires(tables, depth);
     ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->wires, tables.table(0).min_width_for(depth).value());
+    EXPECT_EQ(result->wires, tables.min_width_for(0, depth).value());
     ASSERT_EQ(result->groups.size(), 1u);
 }
 
@@ -34,7 +34,7 @@ TEST(Exact, MergesIdenticalModulesWhenDepthAllows)
     }
     const Soc soc("trio", std::move(modules));
     const SocTimeTables tables(soc);
-    const CycleCount each = tables.table(0).time(1);
+    const CycleCount each = tables.time(0, 1);
     // All three fit serially on one wire.
     const auto result = exact_min_wires(tables, 3 * each + 10);
     ASSERT_TRUE(result.has_value());
@@ -51,7 +51,7 @@ TEST(Exact, SplitsWhenDepthForcesIt)
     }
     const Soc soc("trio", std::move(modules));
     const SocTimeTables tables(soc);
-    const CycleCount each = tables.table(0).time(1);
+    const CycleCount each = tables.time(0, 1);
     // One wire holds at most one test: at least... the optimum may still
     // widen a single group; the exact solver decides. It must respect
     // the area lower bound.
@@ -105,8 +105,8 @@ TEST(Exact, WideNarrowSaturationMatchesBruteForce)
     const SocTimeTables tables(soc);
     ASSERT_GT(tables.flat_max_width(0), tables.flat_max_width(1));
 
-    const CycleCount solo_floor = std::max(tables.table(0).time(tables.flat_max_width(0)),
-                                           tables.table(1).time(tables.flat_max_width(1)));
+    const CycleCount solo_floor = std::max(tables.time(0, tables.flat_max_width(0)),
+                                           tables.time(1, tables.flat_max_width(1)));
     const std::vector<CycleCount> depths = {solo_floor, solo_floor + 50, 2 * solo_floor,
                                             8 * solo_floor, 64 * solo_floor};
     for (const CycleCount depth : depths) {
@@ -148,7 +148,7 @@ TEST(Exact, BudgetInfeasibilityCarriesKind)
     }
     const Soc soc("trio", std::move(modules));
     const SocTimeTables tables(soc);
-    const CycleCount depth = tables.table(0).time(1) + 1; // forces > 1 wire
+    const CycleCount depth = tables.time(0, 1) + 1; // forces > 1 wire
     const ExactResult unconstrained = exact_search(tables, depth, {});
     ASSERT_GT(unconstrained.wires, 1);
 

@@ -9,6 +9,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "common/executor.hpp"
 
 namespace mst {
@@ -125,6 +128,32 @@ TEST(Executor, ResolveThreadCountContract)
     EXPECT_EQ(resolve_thread_count(4, 0), 0);  // empty job list
     EXPECT_GE(resolve_thread_count(0, 100), 1); // auto picks at least one
     EXPECT_GE(resolve_thread_count(-3, 100), 1);
+}
+
+TEST(Executor, ForkedChildGetsAFreshGlobalPool)
+{
+    // Start the parent's workers, then fork: the child must not signal
+    // the inherited pool (its workers stayed behind) but fan out on a
+    // fresh one. The alarm turns a hang in the child into a failure.
+    Executor& parent = Executor::global();
+    std::atomic<int> sum{0};
+    parent.for_index(64, 0, [&](std::size_t i) { sum += static_cast<int>(i); });
+    ASSERT_EQ(sum.load(), 2016);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::alarm(10);
+        Executor& child = Executor::global();
+        std::atomic<int> child_sum{0};
+        for (int round = 0; round < 50; ++round) {
+            child.for_index(64, 0, [&](std::size_t i) { child_sum += static_cast<int>(i); });
+        }
+        ::_exit(&child != &parent && child_sum.load() == 50 * 2016 ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "status " << status;
+    EXPECT_EQ(&Executor::global(), &parent);
 }
 
 TEST(Executor, GlobalParallelForIndexMatchesSerial)

@@ -34,7 +34,7 @@ CycleCount reference_fill(const SocTimeTables& tables, const std::vector<int>& m
 {
     CycleCount total = 0;
     for (const int module_index : modules) {
-        total += tables.table(module_index).time(width);
+        total += tables.time(module_index, width);
     }
     return total;
 }
@@ -48,7 +48,7 @@ WireCount reference_min_widening(const SocTimeTables& tables, const std::vector<
     for (WireCount delta = 1; delta <= max_extra; ++delta) {
         const WireCount candidate = width + delta;
         const CycleCount members = reference_fill(tables, modules, candidate);
-        const CycleCount added = tables.table(module_index).time(candidate);
+        const CycleCount added = tables.time(module_index, candidate);
         if (members + added <= depth) {
             return delta;
         }
@@ -99,7 +99,7 @@ TEST(IncrementalPack, StaircaseMatchesRecomputeAfterRandomizedMutations)
         const ChannelGroup& group = arch.groups()[group_index];
         WireCount widest_member = 1;
         for (const int module_index : members) {
-            widest_member = std::max(widest_member, tables.table(module_index).max_width());
+            widest_member = std::max(widest_member, tables.flat_max_width(module_index));
         }
         for (WireCount w = 1; w <= widest_member + 8; ++w) {
             ASSERT_EQ(group.fill_at_width(w), reference_fill(tables, members, w))

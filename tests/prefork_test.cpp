@@ -1,12 +1,7 @@
 // Integration tests for the supervised prefork pool (service/prefork):
 // readiness-gated port files, byte-identical replay through the pool,
-// worker-death restarts, shm-writer crash recovery, and degraded mode.
-//
-// IMPORTANT: no test in this binary may run optimizer work in the
-// parent (gtest) process before run_prefork forks its workers — the
-// global executor's lazily-started thread pool does not survive fork,
-// and a worker inheriting a started pool would hang on its first
-// request. Expected responses therefore come from the committed golden
+// worker-death restarts, shm-writer crash recovery, degraded mode, and
+// a prompt drain. Expected responses come from the committed golden
 // file, never from an in-process RequestService.
 #include <gtest/gtest.h>
 
@@ -18,7 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/error.hpp"
@@ -305,6 +302,55 @@ TEST(Prefork, PoolReplayIsByteIdenticalToGoldenAndReportsPoolStats)
     EXPECT_EQ(health.find("health")->find("shm")->as_string(), "attached");
 
     EXPECT_EQ(run.shutdown(), 0);
+}
+
+TEST(Prefork, DrainAfterOneConnectionIsPromptAndClean)
+{
+    // One connection wakes the poll() of both workers on the shared
+    // listener, but only one wins the accept. The loser must return to
+    // its poll loop: blocked in accept it would sleep through SIGTERM
+    // until the drain deadline SIGKILLed it (exit code 1, 10 s). The
+    // loser only reaches accept when it sees the connection before the
+    // winner takes it, so a few pools make a regression near-certain to
+    // show; a correct pool passes every round.
+    for (int round = 0; round < 4; ++round) {
+        const TempDir dir;
+        PreforkOptions options;
+        options.processes = 2;
+        options.port_file = dir.port_file();
+        PoolRun run(options);
+        const net::Endpoint endpoint = wait_for_port(dir.port_file());
+
+        const JsonValue health = ask(endpoint, R"({"id":"h","op":"health"})");
+        EXPECT_TRUE(health.find("ok")->as_bool());
+
+        const auto start = std::chrono::steady_clock::now();
+        EXPECT_EQ(run.shutdown(), 0) << "round " << round;
+        EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+            << "round " << round;
+    }
+}
+
+TEST(Prefork, ForkedChildGetsItsOwnShutdownPipe)
+{
+    // A child's shutdown request must not leave the parent's (and so
+    // every sibling's) self-pipe readable.
+    ShutdownLatch& latch = ShutdownLatch::global();
+    latch.reset();
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        latch.detach_after_fork();
+        latch.request();
+        pollfd own{latch.poll_fd(), POLLIN, 0};
+        ::_exit(::poll(&own, 1, 0) == 1 ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    pollfd parent{latch.poll_fd(), POLLIN, 0};
+    EXPECT_EQ(::poll(&parent, 1, 0), 0);
+    EXPECT_FALSE(latch.requested());
 }
 
 TEST(Prefork, WorkerDeathIsRestartedAndTheReplayResumes)

@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "soc/d695.hpp"
@@ -160,6 +163,138 @@ TEST(SocParser, RejectsDuplicateModules)
                                         "module m inputs 1 outputs 1 patterns 1\n"
                                         "module m inputs 1 outputs 1 patterns 1\n"),
                  ParseError);
+}
+
+/// Expect `text` to fail with a ParseError on `line` whose message
+/// contains `fragment`.
+void expect_parse_error(const std::string& text, int line, const std::string& fragment)
+{
+    try {
+        (void)parse_soc_string(text, "edge.soc");
+        ADD_FAILURE() << "expected ParseError for: " << text;
+    } catch (const ParseError& error) {
+        EXPECT_EQ(error.line(), line) << text;
+        EXPECT_EQ(error.file(), "edge.soc");
+        EXPECT_NE(std::string(error.what()).find(fragment), std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(SocParser, RejectsTerminalCountsAboveIntMax)
+{
+    // Terminal counts are ints: a wider value must not wrap silently
+    // (4294967297 would otherwise read as 1 input).
+    expect_parse_error("soc x\nmodule a inputs 4294967297 outputs 1 patterns 1\nend\n", 2,
+                       "expected at most 2147483647 for 'inputs', got '4294967297'");
+    expect_parse_error("soc x\n\nmodule a inputs 1 outputs 2147483648 patterns 1\nend\n", 3,
+                       "'outputs'");
+    expect_parse_error("soc x\nmodule a inputs 1 outputs 1 bidirs 9999999999 patterns 1\nend\n",
+                       2, "'bidirs'");
+    const Soc widest = parse_soc_string("soc x\nmodule a inputs 2147483647 outputs 0 patterns 1\nend\n");
+    EXPECT_EQ(widest.module(0).inputs(), 2147483647);
+    // Pattern counts and chain lengths stay 64-bit.
+    const Soc wide = parse_soc_string(
+        "soc x\nmodule a inputs 1 outputs 1 patterns 4294967297 scan 4294967297\nend\n");
+    EXPECT_EQ(wide.module(0).patterns(), 4294967297);
+    EXPECT_EQ(wide.module(0).scan_chain_lengths()[0], 4294967297);
+}
+
+TEST(SocParser, CrlfTabsAndGluedCommentsSplitLikeWhitespace)
+{
+    const Soc soc = parse_soc_string("soc demo#glued\r\n"
+                                     "module\talpha\tinputs 3 outputs 2\t patterns 7 scan 10 9#tail\r\n"
+                                     "\t\r\n"
+                                     "module beta inputs 1 outputs 1 patterns 2 \f\v\r\n"
+                                     "end#done\r\n");
+    EXPECT_EQ(soc.name(), "demo");
+    ASSERT_EQ(soc.module_count(), 2);
+    EXPECT_EQ(soc.module(0).name(), "alpha");
+    EXPECT_EQ(soc.module(0).patterns(), 7);
+    EXPECT_EQ(soc.module(0).scan_chain_lengths(), (std::vector<FlipFlopCount>{10, 9}));
+    EXPECT_EQ(soc.module(1).patterns(), 2);
+    // A '#' glued to a value ends the line there, so the value is kept
+    // and everything after it dropped.
+    expect_parse_error("soc x\r\nmodule m inputs 1 outputs 1#patterns 3\r\nend\r\n", 2,
+                       "must define inputs, outputs, and patterns");
+}
+
+TEST(SocParser, NoFinalNewlineAndCommentOnlyLines)
+{
+    const Soc soc = parse_soc_string("# header\n#\n   # indented\nsoc x\n# between\n"
+                                     "module m inputs 1 outputs 1 patterns 1\nend");
+    EXPECT_EQ(soc.name(), "x");
+    EXPECT_EQ(soc.module_count(), 1);
+    EXPECT_EQ(parse_soc_string("soc x\nmodule m inputs 1 outputs 1 patterns 1\nend\n# tail")
+                  .module_count(),
+              1);
+    // Line numbers count every line, the unterminated last one included.
+    expect_parse_error("# c\nsoc x\nmodule m inputs 1 outputs 1 patterns 1", 3, "missing 'end'");
+    expect_parse_error("soc x\nmodule m inputs 1 outputs 1 patterns 1\n\n", 3, "missing 'end'");
+    expect_parse_error("# only comments\n\n#\n", 3, "missing 'soc' statement");
+    expect_parse_error("", 0, "missing 'soc' statement");
+    expect_parse_error("soc x\nend\nmodule m inputs 1 outputs 1 patterns 1", 3,
+                       "content after 'end'");
+}
+
+TEST(SocParser, SignsLeadingZerosAndOverflow)
+{
+    const Soc soc = parse_soc_string(
+        "soc x\nmodule m inputs +3 outputs 007 bidirs -0 patterns +0012 scan 0010 +5\nend\n");
+    const Module& m = soc.module(0);
+    EXPECT_EQ(m.inputs(), 3);
+    EXPECT_EQ(m.outputs(), 7);
+    EXPECT_EQ(m.bidirs(), 0);
+    EXPECT_EQ(m.patterns(), 12);
+    EXPECT_EQ(m.scan_chain_lengths(), (std::vector<FlipFlopCount>{10, 5}));
+    EXPECT_EQ(parse_soc_string("soc x\nmodule m inputs 1 outputs 1 patterns "
+                               "9223372036854775807\nend\n")
+                  .module(0)
+                  .patterns(),
+              9223372036854775807);
+
+    // A 20-digit value overflows the 64-bit range: not an integer.
+    expect_parse_error("soc x\nmodule m inputs 1 outputs 1 patterns 99999999999999999999\nend\n",
+                       2, "expected an integer for 'patterns', got '99999999999999999999'");
+    expect_parse_error("soc x\nmodule m inputs 1 outputs 1 patterns 1 scan 9223372036854775808\n",
+                       2, "expected an integer for 'scan chain length'");
+    // The most negative 64-bit value is an integer, just a negative one.
+    expect_parse_error("soc x\nmodule m inputs 1 outputs 1 patterns -9223372036854775808\n", 2,
+                       "expected a non-negative integer for 'patterns'");
+    expect_parse_error("soc x\nmodule m inputs 1 outputs 1 patterns -9223372036854775809\n", 2,
+                       "expected an integer for 'patterns'");
+    for (const char* bad : {"+-5", "-+5", "++5", "+", "-", "5x", "0x10", "1e3", "1.0"}) {
+        expect_parse_error(std::string("soc x\nmodule m inputs ") + bad +
+                               " outputs 1 patterns 1\nend\n",
+                           2, std::string("expected an integer for 'inputs', got '") + bad + "'");
+    }
+}
+
+TEST(SocParser, FieldErrorsKeepTheirOrderAndMessages)
+{
+    expect_parse_error("soc x\nmodule\n", 2, "'module' requires a name");
+    expect_parse_error("soc x\nsoc y\n", 2, "duplicate 'soc' statement");
+    expect_parse_error("soc\n", 1, "'soc' requires exactly one name");
+    expect_parse_error("soc x y\n", 1, "'soc' requires exactly one name");
+    expect_parse_error("wibble\n", 1, "unknown statement 'wibble'");
+    expect_parse_error("soc x\nmodule m inputs 1 outputs 1 patterns 1 clocks\n", 2,
+                       "field 'clocks' is missing its value");
+    // The value is parsed before the field name is checked.
+    expect_parse_error("soc x\nmodule m clocks z\n", 2, "expected an integer for 'clocks'");
+    expect_parse_error("soc x\nmodule m clocks 2\n", 2, "unknown module field 'clocks'");
+    expect_parse_error("soc x\nmodule m inputs 1 outputs 1 patterns 0\nend\n", 2,
+                       "at least one test pattern");
+    expect_parse_error("soc x\nmodule m inputs 1 outputs 1 patterns 1\n"
+                       "module m inputs 1 outputs 1 patterns 1\nend\n",
+                       4, "duplicate module name 'm'");
+}
+
+TEST(SocParser, StreamAndStringParsersAgree)
+{
+    const std::string text = soc_to_string(make_d695());
+    std::istringstream stream(text);
+    const Soc from_stream = parse_soc(stream);
+    EXPECT_EQ(soc_to_string(from_stream), text);
+    EXPECT_EQ(soc_to_string(parse_soc_string(text)), text);
 }
 
 TEST(SocWriter, RoundTripsD695)

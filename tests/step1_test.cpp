@@ -27,9 +27,8 @@ TEST(Step1, FlatSocGetsOneGroupAtMinimalWidth)
 {
     const Soc soc("flat", {Module("core", 8, 8, 0, 100, {50, 50})});
     const SocTimeTables tables(soc);
-    const ModuleTimeTable& table = tables.table(0);
-    const CycleCount depth = table.time(2) + 10; // 2 wires suffice, 1 does not
-    ASSERT_GT(table.time(1), depth);
+    const CycleCount depth = tables.time(0, 2) + 10; // 2 wires suffice, 1 does not
+    ASSERT_GT(tables.time(0, 1), depth);
 
     const Step1Result result = run_step1(tables, ate_spec(64, depth), OptimizeOptions{});
     EXPECT_EQ(result.architecture.groups().size(), 1u);
@@ -46,7 +45,7 @@ TEST(Step1, IdenticalModulesShareAGroupWhenDepthAllows)
     }
     const Soc soc("quad", std::move(modules));
     const SocTimeTables tables(soc);
-    const CycleCount one_at_w1 = tables.table(0).time(1);
+    const CycleCount one_at_w1 = tables.time(0, 1);
     // Depth fits all four modules serially on one wire.
     const Step1Result result =
         run_step1(tables, ate_spec(64, 4 * one_at_w1 + 100), OptimizeOptions{});
@@ -64,7 +63,7 @@ TEST(Step1, SplitsWhenDepthForcesIt)
     }
     const Soc soc("quad", std::move(modules));
     const SocTimeTables tables(soc);
-    const CycleCount one_at_w1 = tables.table(0).time(1);
+    const CycleCount one_at_w1 = tables.time(0, 1);
     // Depth fits exactly two serial tests per wire: need >= 2 wires.
     const Step1Result result =
         run_step1(tables, ate_spec(64, 2 * one_at_w1 + 1), OptimizeOptions{});
@@ -87,7 +86,7 @@ TEST(Step1, ThrowsWhenChannelBudgetTooSmall)
     const Soc soc("tight", {Module("a", 1, 1, 0, 100, {100}),
                             Module("b", 1, 1, 0, 100, {100})});
     const SocTimeTables tables(soc);
-    const CycleCount depth = tables.table(0).time(1) + 10;
+    const CycleCount depth = tables.time(0, 1) + 10;
     EXPECT_THROW((void)run_step1(tables, ate_spec(2, depth), OptimizeOptions{}),
                  InfeasibleError);
 }
@@ -195,7 +194,7 @@ std::optional<std::pair<WireCount, Architecture>> reference_ascent(const SocTime
 
     WireCount widest = 1;
     for (int m = 0; m < tables.module_count(); ++m) {
-        const std::optional<WireCount> width = tables.table(m).min_width_for(depth);
+        const std::optional<WireCount> width = tables.min_width_for(m, depth);
         if (!width || *width > ate_wires) {
             return std::nullopt;
         }
@@ -258,7 +257,7 @@ TEST(Step1, BudgetAscentMatchesSequentialReferenceBeyondFirstWaves)
         }
         Soc soc("rigid", std::move(rigid));
         const SocTimeTables tables(soc);
-        const CycleCount flat = tables.table(0).time(3);
+        const CycleCount flat = tables.time(0, 3);
         cases.emplace_back(std::move(soc),
                            std::vector<CycleCount>{flat * 13 / 10, flat * 12 / 10});
     }
@@ -277,7 +276,7 @@ TEST(Step1, BudgetAscentMatchesSequentialReferenceBeyondFirstWaves)
             }
             WireCount widest = 1;
             for (int m = 0; m < tables.module_count(); ++m) {
-                widest = std::max(widest, *tables.table(m).min_width_for(depth));
+                widest = std::max(widest, *tables.min_width_for(m, depth));
             }
             const auto area_bound =
                 static_cast<WireCount>((tables.total_min_area() + depth - 1) / depth);

@@ -1,8 +1,9 @@
-// Unit and property tests for ModuleTimeTable: monotone effective times,
-// minimal-width queries, Pareto points, and the min-area rectangle.
+// Unit and property tests for a module's time-table row: monotone
+// effective times, used widths, minimal-width queries, the min-area
+// rectangle and the row extent.
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
+#include "arch/channel_group.hpp"
 #include "soc/generator.hpp"
 #include "wrapper/pareto.hpp"
 #include "wrapper/wrapper_design.hpp"
@@ -10,109 +11,116 @@
 namespace mst {
 namespace {
 
-TEST(ModuleTimeTable, EffectiveTimeIsMonotone)
+/// A one-module SOC and its tables: row 0 is the module's staircase.
+struct OneModule {
+    explicit OneModule(const Module& module) : soc("one", {module}), tables(soc) {}
+
+    [[nodiscard]] WireCount max_width() const { return tables.flat_max_width(0); }
+    [[nodiscard]] CycleCount time(WireCount width) const { return tables.time(0, width); }
+
+    Soc soc;
+    SocTimeTables tables;
+};
+
+TEST(TimeRow, EffectiveTimeIsMonotone)
 {
-    const Module m("m", 10, 8, 2, 30, {25, 17, 9, 5});
-    const ModuleTimeTable table(m);
-    for (WireCount w = 2; w <= table.max_width(); ++w) {
-        EXPECT_LE(table.time(w), table.time(w - 1)) << "w=" << w;
+    const OneModule row(Module("m", 10, 8, 2, 30, {25, 17, 9, 5}));
+    for (WireCount w = 2; w <= row.max_width(); ++w) {
+        EXPECT_LE(row.time(w), row.time(w - 1)) << "w=" << w;
     }
 }
 
-TEST(ModuleTimeTable, EffectiveTimeNeverExceedsRawDesign)
+TEST(TimeRow, EffectiveTimeNeverExceedsRawDesign)
 {
     const Module m("m", 10, 8, 2, 30, {25, 17, 9, 5});
-    const ModuleTimeTable table(m);
-    for (WireCount w = 1; w <= table.max_width(); ++w) {
-        EXPECT_LE(table.time(w), wrapped_test_time(m, w)) << "w=" << w;
+    const OneModule row(m);
+    for (WireCount w = 1; w <= row.max_width(); ++w) {
+        EXPECT_LE(row.time(w), wrapped_test_time(m, w)) << "w=" << w;
     }
 }
 
-TEST(ModuleTimeTable, UsedWidthAchievesTheTime)
+TEST(TimeRow, UsedWidthAchievesTheTime)
 {
     const Module m("m", 6, 6, 0, 11, {14, 3});
-    const ModuleTimeTable table(m);
-    for (WireCount w = 1; w <= table.max_width(); ++w) {
-        const WireCount used = table.used_width(w);
+    const OneModule row(m);
+    for (WireCount w = 1; w <= row.max_width(); ++w) {
+        const WireCount used = row.tables.used_width(0, w);
         EXPECT_LE(used, w);
-        EXPECT_EQ(wrapped_test_time(m, used), table.time(w)) << "w=" << w;
+        EXPECT_EQ(wrapped_test_time(m, used), row.time(w)) << "w=" << w;
     }
 }
 
-TEST(ModuleTimeTable, SaturatesBeyondMaxWidth)
+TEST(TimeRow, SaturatesBeyondMaxWidth)
 {
-    const Module m("m", 2, 2, 0, 5, {8});
-    const ModuleTimeTable table(m);
-    EXPECT_EQ(table.time(table.max_width() + 50), table.time(table.max_width()));
+    const OneModule row(Module("m", 2, 2, 0, 5, {8}));
+    EXPECT_EQ(row.time(row.max_width() + 50), row.time(row.max_width()));
+    EXPECT_EQ(row.tables.used_width(0, row.max_width() + 50),
+              row.tables.used_width(0, row.max_width()));
 }
 
-TEST(ModuleTimeTable, MinWidthIsMinimal)
+TEST(TimeRow, MinWidthIsMinimal)
 {
-    const Module m("m", 10, 8, 2, 30, {25, 17, 9, 5});
-    const ModuleTimeTable table(m);
+    const OneModule row(Module("m", 10, 8, 2, 30, {25, 17, 9, 5}));
     for (const CycleCount depth : {CycleCount{200}, CycleCount{400}, CycleCount{900},
                                    CycleCount{1'500}, CycleCount{100'000}}) {
-        const auto width = table.min_width_for(depth);
+        const auto width = row.tables.min_width_for(0, depth);
         if (!width) {
-            EXPECT_GT(table.time(table.max_width()), depth);
+            EXPECT_GT(row.time(row.max_width()), depth);
             continue;
         }
-        EXPECT_LE(table.time(*width), depth);
+        EXPECT_LE(row.time(*width), depth);
         if (*width > 1) {
-            EXPECT_GT(table.time(*width - 1), depth) << "depth=" << depth;
+            EXPECT_GT(row.time(*width - 1), depth) << "depth=" << depth;
         }
     }
 }
 
-TEST(ModuleTimeTable, ImpossibleDepthReturnsNullopt)
+TEST(TimeRow, ImpossibleDepthReturnsNullopt)
 {
-    const Module m("m", 1, 1, 0, 100, {50});
-    const ModuleTimeTable table(m);
-    EXPECT_FALSE(table.min_width_for(10).has_value());
+    const OneModule row(Module("m", 1, 1, 0, 100, {50}));
+    EXPECT_FALSE(row.tables.min_width_for(0, 10).has_value());
 }
 
-TEST(ModuleTimeTable, ParetoPointsStrictlyImprove)
+TEST(TimeRow, UsedWidthsStepExactlyWhereTheTimeDrops)
 {
-    const Module m("m", 20, 20, 0, 40, {33, 21, 13, 8, 8, 5});
-    const ModuleTimeTable table(m);
-    const auto& pareto = table.pareto();
-    ASSERT_FALSE(pareto.empty());
-    EXPECT_EQ(pareto.front().width, 1);
-    for (std::size_t i = 1; i < pareto.size(); ++i) {
-        EXPECT_GT(pareto[i].width, pareto[i - 1].width);
-        EXPECT_LT(pareto[i].test_time, pareto[i - 1].test_time);
+    // The used width moves to w exactly at the widths where the
+    // effective time strictly drops (the row's Pareto points).
+    const OneModule row(Module("m", 20, 20, 0, 40, {33, 21, 13, 8, 8, 5}));
+    EXPECT_EQ(row.tables.used_width(0, 1), 1);
+    for (WireCount w = 2; w <= row.max_width(); ++w) {
+        const bool drops = row.time(w) < row.time(w - 1);
+        EXPECT_EQ(row.tables.used_width(0, w) == w, drops) << "w=" << w;
+        if (!drops) {
+            EXPECT_EQ(row.tables.used_width(0, w), row.tables.used_width(0, w - 1));
+        }
     }
 }
 
-TEST(ModuleTimeTable, MinAreaIsALowerEnvelope)
+TEST(TimeRow, MinAreaIsALowerEnvelope)
 {
     const Module m("m", 20, 20, 0, 40, {33, 21, 13, 8, 8, 5});
-    const ModuleTimeTable table(m);
-    for (WireCount w = 1; w <= table.max_width(); ++w) {
-        EXPECT_LE(table.min_area(), static_cast<CycleCount>(w) * wrapped_test_time(m, w));
+    const OneModule row(m);
+    for (WireCount w = 1; w <= row.max_width(); ++w) {
+        EXPECT_LE(row.tables.min_area(0), static_cast<CycleCount>(w) * wrapped_test_time(m, w));
     }
+    EXPECT_EQ(row.tables.total_min_area(), row.tables.min_area(0));
 }
 
-TEST(ModuleTimeTable, RejectsNonPositiveWidthQueries)
+TEST(TimeRow, ExtentIsTheSaturationWidth)
 {
-    const Module m("m", 1, 1, 0, 1, {});
-    const ModuleTimeTable table(m);
-    EXPECT_THROW((void)table.time(0), ValidationError);
-    EXPECT_THROW((void)table.used_width(0), ValidationError);
+    // Four chains, longest 25, 56 flip-flops: saturated once w >= 4 and
+    // both water-fill ceilings ceil((56 + 12) / w), ceil((56 + 10) / w)
+    // have sunk to 25, i.e. at w = 3 -> max(4, 3, 3) = 4.
+    EXPECT_EQ(table_extent(Module("m", 10, 8, 2, 30, {25, 17, 9, 5})), 4);
+    // No scan chains: every functional cell may get its own wire.
+    EXPECT_EQ(table_extent(Module("m", 64, 60, 0, 10, {})), 64);
 }
 
-TEST(ModuleTimeTable, HonorsExplicitMaxWidth)
-{
-    const Module m("m", 64, 64, 0, 10, {});
-    const ModuleTimeTable table(m, 4);
-    EXPECT_EQ(table.max_width(), 4);
-}
-
-TEST(ModuleTimeTable, CapsExtremeWidths)
+TEST(TimeRow, CapsExtremeWidths)
 {
     const Module m("m", 2000, 2000, 0, 3, {});
-    const ModuleTimeTable table(m);
-    EXPECT_LE(table.max_width(), width_cap);
+    EXPECT_EQ(table_extent(m), width_cap);
+    EXPECT_EQ(OneModule(m).max_width(), width_cap);
 }
 
 /// Property sweep: monotonicity and minimal-width consistency over the
@@ -122,20 +130,22 @@ class ParetoPropertyTest : public testing::TestWithParam<std::uint64_t> {};
 TEST_P(ParetoPropertyTest, StaircaseInvariants)
 {
     const Soc soc = random_soc(GetParam(), 6);
-    for (const Module& m : soc.modules()) {
-        const ModuleTimeTable table(m);
-        for (WireCount w = 2; w <= table.max_width(); ++w) {
-            ASSERT_LE(table.time(w), table.time(w - 1)) << m.name() << " w=" << w;
+    const SocTimeTables tables(soc);
+    for (int m = 0; m < tables.module_count(); ++m) {
+        const WireCount widths = tables.flat_max_width(m);
+        for (WireCount w = 2; w <= widths; ++w) {
+            ASSERT_LE(tables.time(m, w), tables.time(m, w - 1))
+                << soc.module(m).name() << " w=" << w;
         }
         // Brute-force check of min_width_for on a mid-range depth.
-        const CycleCount depth = (table.time(1) + table.time(table.max_width())) / 2;
-        const auto width = table.min_width_for(depth);
+        const CycleCount depth = (tables.time(m, 1) + tables.time(m, widths)) / 2;
+        const auto width = tables.min_width_for(m, depth);
         ASSERT_TRUE(width.has_value());
         WireCount brute = 1;
-        while (table.time(brute) > depth) {
+        while (tables.time(m, brute) > depth) {
             ++brute;
         }
-        EXPECT_EQ(*width, brute) << m.name();
+        EXPECT_EQ(*width, brute) << soc.module(m).name();
     }
 }
 

@@ -1,13 +1,18 @@
 // Exhaustive cross-check of the fast wrapper-time path: the loads-only
-// WrapperTimeCalculator and the TableBuild::fast staircases must be
-// byte-identical to the full design_wrapper reference at every width.
+// WrapperTimeCalculator and the bound-pruned TableBuild::fast tables
+// must be byte-identical to the full design_wrapper reference at every
+// width, and the flat tables must survive the shared-memory codec.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "arch/channel_group.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "shm/segment.hpp"
+#include "shm/store.hpp"
 #include "soc/generator.hpp"
 #include "soc/profiles.hpp"
 #include "wrapper/pareto.hpp"
@@ -67,25 +72,124 @@ TEST(WrapperTimeCalculator, HandlesDegenerateModules)
     EXPECT_THROW((void)WrapperTimeCalculator(combinational).time(0), ValidationError);
 }
 
-TEST(ModuleTimeTable, FastBuildEqualsReferenceBuild)
+/// Whole-SOC cases for the table-build checks: every ScaledShape preset
+/// plus random SOCs and the ITC'02 d695.
+std::vector<Soc> table_build_socs()
 {
-    const Soc soc = make_benchmark_soc("d695");
-    for (const Module& module : soc.modules()) {
-        const ModuleTimeTable fast(module, 0, TableBuild::fast);
-        const ModuleTimeTable reference(module, 0, TableBuild::reference);
-        ASSERT_EQ(fast.max_width(), reference.max_width()) << module.name();
-        for (WireCount w = 1; w <= fast.max_width(); ++w) {
-            ASSERT_EQ(fast.time(w), reference.time(w)) << module.name() << " width " << w;
-            ASSERT_EQ(fast.used_width(w), reference.used_width(w))
-                << module.name() << " width " << w;
-        }
-        EXPECT_EQ(fast.min_area(), reference.min_area()) << module.name();
-        ASSERT_EQ(fast.pareto().size(), reference.pareto().size()) << module.name();
-        for (std::size_t i = 0; i < fast.pareto().size(); ++i) {
-            EXPECT_EQ(fast.pareto()[i].width, reference.pareto()[i].width);
-            EXPECT_EQ(fast.pareto()[i].test_time, reference.pareto()[i].test_time);
+    std::vector<Soc> socs;
+    socs.push_back(make_benchmark_soc("d695"));
+    for (const ScaledShape shape :
+         {ScaledShape::classic, ScaledShape::wide_shallow, ScaledShape::narrow_deep}) {
+        socs.push_back(generate_soc(scaled_benchmark_config("preset", 120, shape)));
+    }
+    for (const std::uint64_t seed : test_seeds::property_cases) {
+        socs.push_back(random_soc(seed, 30));
+    }
+    return socs;
+}
+
+/// Entry-for-entry equality of two table sets over the same SOC.
+void expect_tables_equal(const SocTimeTables& actual, const SocTimeTables& expected)
+{
+    const std::string& soc = expected.soc().name();
+    ASSERT_EQ(actual.module_count(), expected.module_count()) << soc;
+    EXPECT_EQ(actual.total_min_area(), expected.total_min_area()) << soc;
+    for (int m = 0; m < expected.module_count(); ++m) {
+        ASSERT_EQ(actual.flat_max_width(m), expected.flat_max_width(m)) << soc << " m=" << m;
+        EXPECT_EQ(actual.volume_bits(m), expected.volume_bits(m)) << soc << " m=" << m;
+        for (WireCount w = 1; w <= expected.flat_max_width(m); ++w) {
+            ASSERT_EQ(actual.time(m, w), expected.time(m, w)) << soc << " m=" << m << " w=" << w;
+            ASSERT_EQ(actual.used_width(m, w), expected.used_width(m, w))
+                << soc << " m=" << m << " w=" << w;
+            ASSERT_EQ(actual.min_area_from(m, w), expected.min_area_from(m, w))
+                << soc << " m=" << m << " w=" << w;
         }
     }
+}
+
+TEST(SocTimeTables, PrunedFastBuildEqualsReferenceBuild)
+{
+    // The fast build skips widths by closed-form bounds; the reference
+    // evaluates design_wrapper at every width. Extents, times, used
+    // widths and suffix areas must all agree, at any thread count.
+    for (const Soc& soc : table_build_socs()) {
+        const SocTimeTables reference(soc, TableBuild::reference);
+        expect_tables_equal(SocTimeTables(soc, TableBuild::fast, 1), reference);
+        expect_tables_equal(SocTimeTables(soc, TableBuild::fast, 4), reference);
+    }
+}
+
+TEST(SocTimeTables, ExtentsAreTheSaturationWidths)
+{
+    for (const Soc& soc : table_build_socs()) {
+        const SocTimeTables tables(soc);
+        for (int m = 0; m < tables.module_count(); ++m) {
+            ASSERT_EQ(tables.flat_max_width(m), table_extent(soc.module(m)))
+                << soc.name() << " m=" << m;
+        }
+    }
+}
+
+TEST(SocTimeTables, ShmCodecRoundTripsTheFlatTables)
+{
+    for (const Soc& soc : table_build_socs()) {
+        const SocTimeTables built(soc);
+        const std::string blob = shm::ShmStore::encode_tables(built);
+        const std::unique_ptr<SocTimeTables> decoded = shm::ShmStore::decode_tables(blob, soc);
+        ASSERT_NE(decoded, nullptr);
+        EXPECT_EQ(shm::ShmStore::encode_tables(*decoded), blob) << soc.name();
+        expect_tables_equal(*decoded, SocTimeTables(soc));
+    }
+}
+
+TEST(SocTimeTables, ShmTablesBlobBytesArePinned)
+{
+    // The blob format is shared with segments written by other builds:
+    // per module a u32 width count, the u64 times, then the u32 used
+    // widths, little-endian. These digests pin its bytes.
+    const auto digest = [](const std::string& name) {
+        const std::string blob = shm::ShmStore::encode_tables(SocTimeTables(make_benchmark_soc(name)));
+        return shm::Segment::fnv1a(blob.data(), blob.size());
+    };
+    EXPECT_EQ(digest("d695"), 0x0c2612de415c4019ULL);
+    EXPECT_EQ(digest("p93791"), 0x493540e6673acf69ULL);
+}
+
+TEST(SocTimeTables, RestoreRejectsBrokenStaircases)
+{
+    const Soc soc = make_benchmark_soc("d695");
+    const SocTimeTables built(soc);
+    const auto restore = [&](std::vector<std::size_t> offsets, TableArray<CycleCount> times,
+                             TableArray<WireCount> used) {
+        return SocTimeTables(soc, std::move(offsets), std::move(times), std::move(used));
+    };
+    std::vector<std::size_t> offsets{0};
+    TableArray<CycleCount> times;
+    TableArray<WireCount> used;
+    for (int m = 0; m < built.module_count(); ++m) {
+        for (WireCount w = 1; w <= built.flat_max_width(m); ++w) {
+            times.push_back(built.time(m, w));
+            used.push_back(built.used_width(m, w));
+        }
+        offsets.push_back(times.size());
+    }
+    expect_tables_equal(restore(offsets, times, used), built);
+
+    EXPECT_THROW((void)restore({0, times.size()}, times, used), ValidationError);
+    std::vector<std::size_t> empty_row = offsets;
+    empty_row[1] = 0;
+    EXPECT_THROW((void)restore(empty_row, times, used), ValidationError);
+    std::vector<std::size_t> overlong_row = offsets;
+    overlong_row[1] = times.size() + 7; // later offsets fall back inside
+    EXPECT_THROW((void)restore(overlong_row, times, used), ValidationError);
+    TableArray<CycleCount> rising = times;
+    rising[1] = rising[0] + 1;
+    EXPECT_THROW((void)restore(offsets, rising, used), ValidationError);
+    TableArray<WireCount> too_wide = used;
+    too_wide[0] = 2;
+    EXPECT_THROW((void)restore(offsets, times, too_wide), ValidationError);
+    used.pop_back();
+    EXPECT_THROW((void)restore(offsets, times, used), ValidationError);
 }
 
 TEST(SocTimeTables, TotalMinAreaSumsModuleMinima)
@@ -94,10 +198,30 @@ TEST(SocTimeTables, TotalMinAreaSumsModuleMinima)
     const SocTimeTables tables(soc);
     CycleCount expected = 0;
     for (int m = 0; m < tables.module_count(); ++m) {
-        expected += tables.table(m).min_area();
+        expected += tables.min_area(m);
     }
     EXPECT_EQ(tables.total_min_area(), expected);
     EXPECT_GT(tables.total_min_area(), 0);
+}
+
+TEST(WrapperTimeCalculator, PrunesOnlyWidthsThatCannotBeatTheBest)
+{
+    // A width is pruned only when its time provably reaches `best`:
+    // with best one above the exact time it must be evaluated, exactly.
+    std::vector<FlipFlopCount> scratch;
+    for (const Soc& soc : table_build_socs()) {
+        for (const Module& module : soc.modules()) {
+            const WrapperTimeCalculator calculator(module);
+            for (WireCount w = 1; w <= table_extent(module); ++w) {
+                const CycleCount exact = calculator.time(w);
+                ASSERT_EQ(calculator.time_if_can_beat(w, exact + 1, scratch), exact)
+                    << soc.name() << " module '" << module.name() << "' at width " << w;
+                const std::optional<CycleCount> at_best =
+                    calculator.time_if_can_beat(w, exact, scratch);
+                ASSERT_TRUE(!at_best || *at_best == exact);
+            }
+        }
+    }
 }
 
 } // namespace
