@@ -1,9 +1,9 @@
 #include "core/pack_engine.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
+#include "arch/best_fit_index.hpp"
 #include "arch/channel_group.hpp"
 #include "common/executor.hpp"
 
@@ -25,6 +25,9 @@ struct PackScratch {
     /// The pass builds here; reset() between passes retires groups into
     /// the architecture's spare pool instead of freeing them.
     Architecture arch;
+    /// Best-fit selection index over arch's groups, kept in step with
+    /// every mutation of the pass.
+    BestFitIndex index;
     std::vector<PackExpansion> expansions;
 };
 
@@ -89,34 +92,24 @@ std::vector<int> order_by_min_width(const std::vector<WireCount>& min_widths,
     return indices;
 }
 
-/// Try to place a module on an existing group without widening.
-/// Returns the chosen group index, or nullopt. Scans the architecture's
-/// dense fill/width mirrors — the single hottest loop of a greedy pass.
-std::optional<std::size_t> pick_existing_group(const Architecture& arch,
-                                               const SocTimeTables& tables,
-                                               int module_index,
-                                               CycleCount depth,
-                                               GroupSelectPolicy policy)
+/// The first_fit ablation's group choice: the lowest group index whose
+/// fill stays within `depth` with the module added, or nullopt. A dense
+/// scan over the architecture's fill/width mirrors; best fit asks the
+/// BestFitIndex instead.
+std::optional<std::size_t> first_fit_group(const Architecture& arch,
+                                           const SocTimeTables& tables,
+                                           int module_index,
+                                           CycleCount depth)
 {
+    const SocTimeTables::TimeRow row = tables.time_row(module_index);
     const std::vector<CycleCount>& fills = arch.group_fills();
     const std::vector<WireCount>& widths = arch.group_widths();
-    const SocTimeTables::TimeRow row = tables.time_row(module_index);
-    std::optional<std::size_t> best;
-    CycleCount best_fill = std::numeric_limits<CycleCount>::max();
     for (std::size_t g = 0; g < fills.size(); ++g) {
-        const CycleCount fill = fills[g] + row.at_width(widths[g]);
-        if (fill > depth) {
-            continue;
-        }
-        if (policy == GroupSelectPolicy::first_fit) {
+        if (fills[g] + row.at_width(widths[g]) <= depth) {
             return g;
         }
-        if (fill < best_fill) {
-            best_fill = fill;
-            best = g;
-        }
     }
-    return best;
+    return std::nullopt;
 }
 
 /// Enumerate the feasible alternatives of Fig. 4(c) for placing
@@ -220,20 +213,36 @@ std::optional<Architecture> step1_pass(const SocTimeTables& tables,
                                        PackScratch& scratch)
 {
     Architecture& arch = scratch.arch;
+    BestFitIndex& index = scratch.index;
     arch.reset();
+    index.clear();
+    const auto open_group = [&](WireCount width, int module_index) {
+        const std::size_t g = arch.add_group(width);
+        arch.add_module(g, module_index);
+        index.add_group(g, width, arch.group_fills()[g]);
+    };
     for (const int module_index : order) {
         const WireCount min_width = min_widths[static_cast<std::size_t>(module_index)];
         if (arch.groups().empty()) {
             if (min_width > wire_budget) {
                 return std::nullopt;
             }
-            arch.add_module(arch.add_group(min_width), module_index);
+            open_group(min_width, module_index);
             continue;
         }
-        const std::optional<std::size_t> existing =
-            pick_existing_group(arch, tables, module_index, depth, options.group_select);
-        if (existing) {
-            arch.add_module(*existing, module_index);
+        // Place on an existing group without widening when one fits.
+        if (options.group_select == GroupSelectPolicy::best_fit_min_depth) {
+            const std::optional<BestFitIndex::Fit> fit =
+                index.best_fit(tables.time_row(module_index), depth);
+            if (fit) {
+                arch.add_module(fit->group, module_index);
+                index.place(*fit);
+                continue;
+            }
+        } else if (const std::optional<std::size_t> g =
+                       first_fit_group(arch, tables, module_index, depth)) {
+            arch.add_module(*g, module_index);
+            index.set_fill(*g, arch.group_fills()[*g]);
             continue;
         }
         enumerate_expansions(arch, tables, module_index, min_width, depth, wire_budget,
@@ -249,10 +258,12 @@ std::optional<Architecture> step1_pass(const SocTimeTables& tables,
         }
         const PackExpansion& chosen = select_expansion(scratch.expansions, depth);
         if (chosen.group) {
-            arch.widen_group(*chosen.group, chosen.added_wires);
-            arch.add_module(*chosen.group, module_index);
+            const std::size_t g = *chosen.group;
+            arch.widen_group(g, chosen.added_wires);
+            arch.add_module(g, module_index);
+            index.set_group(g, arch.group_widths()[g], arch.group_fills()[g]);
         } else {
-            arch.add_module(arch.add_group(chosen.added_wires), module_index);
+            open_group(chosen.added_wires, module_index);
         }
     }
     return arch;

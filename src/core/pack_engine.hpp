@@ -19,6 +19,12 @@
 //     (1,1,2,4,8,...) with a lowest-index winner, so a pass that would
 //     have won the sequential scan always wins here too.
 //
+// Inside one greedy pass, best-fit group selection asks a BestFitIndex
+// (arch/best_fit_index.hpp) kept in step with the pass's architecture:
+// O(width classes) per placed module instead of a scan of every group,
+// with the scan's lowest-index tie-break. The first_fit ablation keeps
+// the dense scan.
+//
 // Determinism: the task schedule depends only on the queries and the
 // options — never on thread count or timing. The memo and the work
 // counters are updated by the coordinating thread in query order, so
@@ -70,10 +76,11 @@ struct PackQuery {
     }
 }
 
-/// Reusable per-pass buffers (architecture with pooled groups, expansion
-/// alternatives). One greedy pass checks a scratch out of the engine's
-/// pool, builds into it, and returns it — repeated passes and wave
-/// probes stop churning the allocator. Defined in pack_engine.cpp.
+/// Reusable per-pass buffers (architecture with pooled groups, best-fit
+/// index, expansion alternatives). One greedy pass checks a scratch out
+/// of the engine's pool, builds into it, and returns it — repeated
+/// passes and wave probes stop churning the allocator. Defined in
+/// pack_engine.cpp.
 struct PackScratch;
 
 /// One optimization run's packing context: time tables + options + caches.

@@ -8,13 +8,21 @@
 // compared via their full deterministic JSON rendering, so sites,
 // channels, cycles, throughput, TAM plan, and the whole site curve all
 // participate in the equality.
+//
+// Memoized and from-scratch runs share the greedy pass itself, so they
+// cannot see a change in which group the pass picks. The pinned digests
+// below can: they hold the FNV-1a 64 of the full solution JSON on the
+// 3000-module shapes, at the paper's cell and on the long broadcast site
+// curve, as the original linear best-fit scan produced them.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "arch/channel_group.hpp"
 #include "core/optimizer.hpp"
 #include "report/solution_json.hpp"
+#include "shm/segment.hpp"
 #include "soc/generator.hpp"
 
 namespace mst {
@@ -75,6 +83,42 @@ INSTANTIATE_TEST_SUITE_P(ScaledSocs, GenScaleFingerprint,
                              }
                              return name;
                          });
+
+struct PinnedCase {
+    const char* name;
+    ScaledShape shape;
+    ChannelCount channels;
+    CycleCount depth;
+    BroadcastMode broadcast;
+    std::uint64_t digest;
+};
+
+TEST(GenScaleFingerprint, SolutionDigestsArePinned)
+{
+    const PinnedCase cases[] = {
+        {"gen300x-deep", ScaledShape::narrow_deep, 512, 7 * mebi, BroadcastMode::none,
+         0x953e516dae76cfc7ULL},
+        {"gen300x-deep", ScaledShape::narrow_deep, 1024, 32 * mebi, BroadcastMode::stimuli,
+         0xc380b106ff5758aaULL},
+        {"gen300x-wide", ScaledShape::wide_shallow, 512, 7 * mebi, BroadcastMode::none,
+         0x4599fd7eb169ba0fULL},
+        {"gen300x-wide", ScaledShape::wide_shallow, 1024, 32 * mebi, BroadcastMode::stimuli,
+         0x1385d1583cc83ac4ULL},
+    };
+    for (const PinnedCase& pinned : cases) {
+        const Soc soc = generate_soc(scaled_benchmark_config(pinned.name, 3000, pinned.shape));
+        const SocTimeTables tables(soc);
+        TestCell cell;
+        cell.ate.channels = pinned.channels;
+        cell.ate.vector_memory_depth = pinned.depth;
+        OptimizeOptions options;
+        options.broadcast = pinned.broadcast;
+        const std::string json = solution_to_json(optimize_multi_site(tables, cell, options));
+        EXPECT_EQ(shm::Segment::fnv1a(json.data(), json.size()), pinned.digest)
+            << pinned.name << " at " << pinned.channels << " channels x " << pinned.depth
+            << (pinned.broadcast == BroadcastMode::stimuli ? " broadcast" : " plain");
+    }
+}
 
 } // namespace
 } // namespace mst
