@@ -846,9 +846,13 @@ int cmd_help()
         "           [--shm-name /name] [--fault-plan P]\n"
         "           (persistent request loop: one JSON request per line, one\n"
         "            JSON response per line; SOC time tables and solutions are\n"
-        "            cached across requests. --listen serves the same protocol\n"
-        "            over TCP: streaming or ordered responses, bounded request\n"
-        "            queues, graceful SIGTERM drain; see docs/protocol.md.\n"
+        "            cached across requests, and so is each inline soc_text's\n"
+        "            parse and fingerprint (keyed by its exact bytes; a path\n"
+        "            is re-read every time). --tables-cache bounds the\n"
+        "            distinct SOCs of both SOC caches. --listen serves the\n"
+        "            same protocol over TCP: streaming or ordered responses,\n"
+        "            bounded request queues, graceful SIGTERM drain; see\n"
+        "            docs/protocol.md.\n"
         "            exhausted accepts shed an idle connection and back off;\n"
         "            memoized answers are still served while the admission\n"
         "            queue refuses new optimize work. --processes N forks a\n"

@@ -1,6 +1,7 @@
 // Bounded LRU cache with single-flight computes, shared by the request
-// service's TablesCache (SOC fingerprint -> wrapper time tables) and
-// solution memo ((fingerprint, cell, options) -> serialized outcome).
+// service's SOC resolution cache (inline .soc text -> parsed SOC and
+// fingerprint), TablesCache (SOC fingerprint -> wrapper time tables)
+// and solution memo ((fingerprint, cell, options) -> serialized outcome).
 //
 // Single-flight: concurrent get_or_compute calls for one key run the
 // compute once; the other callers block on the same shared_future. This

@@ -29,6 +29,7 @@ std::string memo_key(const std::string& fingerprint_text, const protocol::Reques
 
 RequestService::RequestService(ServiceConfig config)
     : config_(config),
+      socs_(config.tables_cache_capacity),
       tables_(config.tables_cache_capacity, config.shm),
       memo_(config.memo_capacity)
 {
@@ -39,16 +40,32 @@ int RequestService::thread_count(std::size_t jobs) const noexcept
     return resolve_thread_count(config_.threads, jobs);
 }
 
+std::shared_ptr<const ResolvedSoc> RequestService::resolve(const protocol::Request& request)
+{
+    const auto compute = [&]() -> std::shared_ptr<const ResolvedSoc> {
+        auto resolved = std::make_shared<ResolvedSoc>();
+        resolved->soc = share_soc(request.inline_soc
+                                      ? parse_soc_string(request.soc_text, "<request>")
+                                      : load_soc_spec(request.soc_spec));
+        resolved->fingerprint = soc_fingerprint(*resolved->soc);
+        resolved->fingerprint_text = fingerprint_hex(resolved->fingerprint);
+        return resolved;
+    };
+    // Only inline text is a pure function of its bytes. A path is re-read
+    // on every request because the file may change in between; a built-in
+    // name is cheap, and keying it here could collide with inline text.
+    return request.inline_soc ? socs_.get_or_compute(request.soc_text, compute) : compute();
+}
+
 std::shared_ptr<const SolutionOutcome> RequestService::outcome_for(
     const protocol::Request& request)
 {
     // Resolve the SOC outside the memo: name/path/inline forms of the
     // same content must land on one memo entry, and .soc problems are
     // request errors, not cacheable optimization outcomes.
-    std::shared_ptr<const Soc> soc;
+    std::shared_ptr<const ResolvedSoc> resolved;
     try {
-        soc = share_soc(request.inline_soc ? parse_soc_string(request.soc_text, "<request>")
-                                           : load_soc_spec(request.soc_spec));
+        resolved = resolve(request);
     } catch (const ParseError& e) {
         auto outcome = std::make_shared<SolutionOutcome>();
         outcome->error = {protocol::ErrorKind::parse, e.what(), ""};
@@ -65,8 +82,7 @@ std::shared_ptr<const SolutionOutcome> RequestService::outcome_for(
         return outcome;
     }
 
-    const std::uint64_t fingerprint = soc_fingerprint(*soc);
-    const std::string fingerprint_text = fingerprint_hex(fingerprint);
+    const std::string& fingerprint_text = resolved->fingerprint_text;
     const std::string key = memo_key(fingerprint_text, request);
     if (const std::errc fault = MST_FAULTPOINT("cache.tables_build"); fault != std::errc{}) {
         // Transient by construction, so deliberately NOT memoized: the
@@ -86,7 +102,8 @@ std::shared_ptr<const SolutionOutcome> RequestService::outcome_for(
         outcome->fingerprint = fingerprint_text;
         try {
             request.cell.validate();
-            const std::shared_ptr<const SocTables> shared = tables_.get(fingerprint, soc);
+            const std::shared_ptr<const SocTables> shared =
+                tables_.get(resolved->fingerprint, resolved->soc);
             // Shared-memory lookaside inside the single-flight compute,
             // and only after the tables fetch above: whether the outcome
             // is restored or computed, the local memo AND tables-cache
@@ -221,16 +238,14 @@ std::optional<std::string> RequestService::cached_response(const protocol::Reque
         request.op != protocol::Request::Op::optimize) {
         return std::nullopt;
     }
-    std::shared_ptr<const Soc> soc;
+    std::shared_ptr<const ResolvedSoc> resolved;
     try {
-        soc = share_soc(request.inline_soc ? parse_soc_string(request.soc_text, "<request>")
-                                           : load_soc_spec(request.soc_spec));
+        resolved = resolve(request);
     } catch (...) {
         return std::nullopt; // not a memoized outcome; let admission decide
     }
-    const std::string fingerprint_text = fingerprint_hex(soc_fingerprint(*soc));
     const std::shared_ptr<const SolutionOutcome> outcome =
-        memo_.peek(memo_key(fingerprint_text, request));
+        memo_.peek(memo_key(resolved->fingerprint_text, request));
     if (outcome == nullptr) {
         return std::nullopt;
     }

@@ -4,6 +4,11 @@
 // The request/response wire format is owned by service/protocol.hpp —
 // one parse/serialize path for every front end. This layer adds what a
 // one-shot CLI cannot:
+//   * a resolution cache - LRU from the exact bytes of an inline
+//     `soc_text` to its parsed SOC and content fingerprint, so a client
+//     re-sending one SOC with different cells parses and fingerprints
+//     it once. Path specs are never cached (the file may change between
+//     requests) and built-in names are cheap. Not in stats responses,
 //   * a TablesCache - LRU of immutable SocTimeTables keyed by SOC
 //     content fingerprint, shared across requests and threads,
 //   * a bounded solution memo keyed by (fingerprint, cell, options),
@@ -39,14 +44,23 @@ namespace mst {
 struct ServiceConfig {
     /// Worker threads for execute(); <= 0 selects hardware_concurrency.
     int threads = 0;
-    /// LRU capacity of the wrapper-time-tables cache (distinct SOCs).
+    /// LRU capacity of the wrapper-time-tables cache and of the inline
+    /// SOC resolution cache (distinct SOCs, each).
     std::size_t tables_cache_capacity = 16;
     /// LRU capacity of the solution memo (distinct full requests).
     std::size_t memo_capacity = 256;
-    /// Shared-memory cache tier, a second level *under* both LRUs
-    /// (docs/shm.md); nullptr = local-only. A degraded store (configured
-    /// but unattached) stays set so stats can report the degradation.
+    /// Shared-memory cache tier, a second level *under* the tables cache
+    /// and the solution memo (docs/shm.md); nullptr = local-only. A
+    /// degraded store (configured but unattached) stays set so stats can
+    /// report the degradation.
     std::shared_ptr<shm::ShmStore> shm;
+};
+
+/// An SOC resolved from a request: parsed once, fingerprinted once.
+struct ResolvedSoc {
+    std::shared_ptr<const Soc> soc;
+    std::uint64_t fingerprint = 0;
+    std::string fingerprint_text; ///< fingerprint_hex(fingerprint)
 };
 
 /// Memoized outcome of one distinct (SOC, cell, options) optimization:
@@ -87,8 +101,9 @@ public:
     /// would need real work (unknown key, compute still in flight, SOC
     /// unreadable). Never optimizes, never blocks on a compute — cheap
     /// enough for the server to answer cache hits even while the
-    /// admission queue refuses new work. A served hit is counted like a
-    /// completed request.
+    /// admission queue refuses new work (at most it joins an in-flight
+    /// parse of the same inline text, no longer than parsing it). A
+    /// served hit is counted like a completed request.
     [[nodiscard]] std::optional<std::string> cached_response(
         const protocol::Request& request);
 
@@ -103,6 +118,8 @@ public:
     [[nodiscard]] int thread_count(std::size_t jobs) const noexcept;
 
     [[nodiscard]] CacheStats tables_cache_stats() const { return tables_.stats(); }
+    /// Inline SOC resolution cache; test-only, never in a stats payload.
+    [[nodiscard]] CacheStats soc_cache_stats() const { return socs_.stats(); }
     [[nodiscard]] CacheStats memo_stats() const { return memo_.stats(); }
 
     /// Raw request counters (the prefork worker's heartbeat pushes
@@ -132,11 +149,20 @@ public:
     [[nodiscard]] protocol::HealthInfo health_info() const;
 
 private:
+    /// The request's SOC, parsed and fingerprinted. Inline text goes
+    /// through the resolution cache (a failure is cached and rethrown
+    /// like any LruCache compute); names and paths resolve afresh.
+    /// Throws ParseError / ValidationError for a bad SOC.
+    [[nodiscard]] std::shared_ptr<const ResolvedSoc> resolve(
+        const protocol::Request& request);
     [[nodiscard]] std::string run_optimize(const protocol::Request& request, bool& ok);
     [[nodiscard]] std::shared_ptr<const SolutionOutcome> outcome_for(
         const protocol::Request& request);
 
     ServiceConfig config_;
+    /// Keyed by the full text: std::map compares whole keys, so no hash
+    /// collision can hand back another request's SOC.
+    LruCache<std::string, ResolvedSoc> socs_;
     TablesCache tables_;
     LruCache<std::string, SolutionOutcome> memo_;
 

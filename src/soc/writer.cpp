@@ -1,39 +1,113 @@
 #include "soc/writer.hpp"
 
+#include <charconv>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 
 namespace mst {
 
-void write_soc(std::ostream& out, const Soc& soc)
+namespace {
+
+/// Emit the canonical .soc text of `soc` to `sink`. Run twice by
+/// soc_to_string: once to measure the text, once to write it.
+template <typename Sink>
+void render(const Soc& soc, Sink& sink)
 {
-    out << "# " << soc.name() << ": " << soc.module_count() << " modules\n";
-    out << "soc " << soc.name() << '\n';
+    sink.text("# ");
+    sink.text(soc.name());
+    sink.text(": ");
+    sink.number(soc.module_count());
+    sink.text(" modules\nsoc ");
+    sink.text(soc.name());
+    sink.text("\n");
     for (const Module& m : soc.modules()) {
-        out << "module " << m.name()
-            << " inputs " << m.inputs()
-            << " outputs " << m.outputs()
-            << " bidirs " << m.bidirs()
-            << " patterns " << m.patterns();
+        sink.text("module ");
+        sink.text(m.name());
+        sink.text(" inputs ");
+        sink.number(m.inputs());
+        sink.text(" outputs ");
+        sink.number(m.outputs());
+        sink.text(" bidirs ");
+        sink.number(m.bidirs());
+        sink.text(" patterns ");
+        sink.number(m.patterns());
         if (m.scan_chain_count() > 0) {
-            out << " scan";
+            sink.text(" scan");
             for (const FlipFlopCount length : m.scan_chain_lengths()) {
-                out << ' ' << length;
+                sink.text(" ");
+                sink.number(length);
             }
         }
-        out << '\n';
+        sink.text("\n");
     }
-    out << "end\n";
+    sink.text("end\n");
+}
+
+/// Sink that only counts the bytes render() emits.
+struct Measure {
+    std::size_t size = 0;
+
+    template <std::size_t N>
+    void text(const char (&)[N])
+    {
+        size += N - 1;
+    }
+    void text(const std::string& s) { size += s.size(); }
+    void number(std::int64_t value)
+    {
+        std::uint64_t magnitude = value < 0 ? 0 - static_cast<std::uint64_t>(value)
+                                            : static_cast<std::uint64_t>(value);
+        size += value < 0 ? 2 : 1;
+        for (; magnitude >= 10; magnitude /= 10) {
+            ++size;
+        }
+    }
+};
+
+/// Sink that writes into a buffer Measure has sized exactly.
+struct Write {
+    char* at;
+
+    template <std::size_t N>
+    void text(const char (&literal)[N])
+    {
+        std::memcpy(at, literal, N - 1);
+        at += N - 1;
+    }
+    void text(const std::string& s)
+    {
+        std::memcpy(at, s.data(), s.size());
+        at += s.size();
+    }
+    void number(std::int64_t value)
+    {
+        at = std::to_chars(at, at + 20, value).ptr; // 20 = strlen("-9223372036854775808")
+    }
+};
+
+} // namespace
+
+void write_soc(std::ostream& out, const Soc& soc)
+{
+    const std::string text = soc_to_string(soc);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 std::string soc_to_string(const Soc& soc)
 {
-    std::ostringstream stream;
-    write_soc(stream, soc);
-    return stream.str();
+    // Measured, then written with to_chars into one exactly sized buffer:
+    // the request service fingerprints every SOC it resolves by hashing
+    // this text, so it sits on the serve path.
+    Measure measure;
+    render(soc, measure);
+    std::string out(measure.size, '\0');
+    Write write{out.data()};
+    render(soc, write);
+    return out;
 }
 
 void save_soc_file(const std::string& path, const Soc& soc)

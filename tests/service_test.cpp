@@ -3,6 +3,9 @@
 // error isolation, and thread-count-independent response bytes.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 #include "service/tables_cache.hpp"
+#include "soc/generator.hpp"
 #include "soc/profiles.hpp"
 #include "soc/writer.hpp"
 
@@ -26,6 +30,14 @@ namespace {
 JsonValue response(const std::string& line)
 {
     return JsonValue::parse(line);
+}
+
+/// An optimize request carrying `text` inline; `cell` is a JSON member
+/// list such as `"channels":256,"depth":"48K"`.
+std::string inline_request(const std::string& id, const std::string& text,
+                           const std::string& cell)
+{
+    return R"({"id":")" + id + R"(","soc_text":")" + json_escape(text) + R"(",)" + cell + "}";
 }
 
 double stat(const JsonValue& root, const std::string& section, const std::string& field)
@@ -94,21 +106,10 @@ TEST(Service, NamePathAndInlineTextShareOneFingerprint)
 {
     // The cache keys on content, not on how the SOC was named.
     const std::string text = soc_to_string(make_benchmark_soc("d695"));
-    std::string escaped;
-    for (const char ch : text) {
-        if (ch == '\n') {
-            escaped += "\\n";
-        } else if (ch == '"' || ch == '\\') {
-            escaped += '\\';
-            escaped += ch;
-        } else {
-            escaped += ch;
-        }
-    }
     RequestService service;
     const std::vector<std::string> out = service.execute({
         R"({"id":1,"soc":"d695","channels":256,"depth":"48K"})",
-        R"({"id":2,"soc_text":")" + escaped + R"(","channels":256,"depth":"48K"})",
+        inline_request("2", text, R"("channels":256,"depth":"48K")"),
         R"({"op":"stats"})",
     });
     const JsonValue first = response(out[0]);
@@ -296,6 +297,169 @@ TEST(Service, SocFingerprintIsContentBased)
     EXPECT_EQ(soc_fingerprint(a), soc_fingerprint(b));
     EXPECT_NE(soc_fingerprint(a), soc_fingerprint(c));
     EXPECT_EQ(fingerprint_hex(soc_fingerprint(a)).size(), 16U);
+    // Fingerprints reach clients in every response and key the shm tier:
+    // the canonical writer may get faster, but these values may not move.
+    EXPECT_EQ(fingerprint_hex(soc_fingerprint(a)), "61d945ae11a041ae");
+    EXPECT_EQ(fingerprint_hex(soc_fingerprint(random_soc(1, 50))), "9082e456e3f9d806");
+    EXPECT_EQ(fingerprint_hex(soc_fingerprint(random_soc(1, 500))), "0ee64ed006b86068");
+    EXPECT_EQ(fingerprint_hex(soc_fingerprint(random_soc(1, 2000))), "31266a8dda397279");
+}
+
+/// The iostream rendition soc_to_string used to be, kept as the oracle
+/// for the canonical text (and so for every fingerprint).
+std::string stream_writer_oracle(const Soc& soc)
+{
+    std::ostringstream out;
+    out << "# " << soc.name() << ": " << soc.module_count() << " modules\n";
+    out << "soc " << soc.name() << '\n';
+    for (const Module& m : soc.modules()) {
+        out << "module " << m.name() << " inputs " << m.inputs() << " outputs " << m.outputs()
+            << " bidirs " << m.bidirs() << " patterns " << m.patterns();
+        if (m.scan_chain_count() > 0) {
+            out << " scan";
+            for (const FlipFlopCount length : m.scan_chain_lengths()) {
+                out << ' ' << length;
+            }
+        }
+        out << '\n';
+    }
+    out << "end\n";
+    return out.str();
+}
+
+TEST(Service, CanonicalWriterMatchesStreamWriter)
+{
+    std::vector<Soc> socs;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        socs.push_back(random_soc(seed, static_cast<int>(seed) * 37));
+    }
+    for (const std::string& name : benchmark_soc_names()) {
+        socs.push_back(make_benchmark_soc(name)); // modules without scan chains
+    }
+    for (const Soc& soc : socs) {
+        const std::string expected = stream_writer_oracle(soc);
+        EXPECT_EQ(soc_to_string(soc), expected) << soc.name();
+        std::ostringstream streamed;
+        write_soc(streamed, soc);
+        EXPECT_EQ(streamed.str(), expected) << soc.name();
+    }
+}
+
+// --- inline SOC resolution cache ---
+
+const std::string kResolveCell = R"("channels":256,"depth":"1M")";
+
+TEST(ServiceResolution, InlineTextAcrossCellsResolvesOnce)
+{
+    // One text, eight cells: serially, and all at once on eight threads
+    // (single-flight: the other requests join the one parse).
+    const std::string text = soc_to_string(random_soc(3, 8));
+    std::vector<std::string> lines;
+    for (int channels = 64; channels <= 512; channels += 64) {
+        lines.push_back(inline_request(std::to_string(channels), text,
+                                       R"("channels":)" + std::to_string(channels) +
+                                           R"(,"depth":"1M")"));
+    }
+    std::vector<std::string> serial;
+    for (const int threads : {1, 8}) {
+        ServiceConfig config;
+        config.threads = threads;
+        RequestService service(config);
+        const std::vector<std::string> out = service.execute(lines);
+        for (const std::string& line : out) {
+            EXPECT_TRUE(response(line).find("ok")->as_bool()) << line;
+        }
+        if (threads == 1) {
+            serial = out;
+        }
+        EXPECT_EQ(out, serial);
+        const CacheStats socs = service.soc_cache_stats();
+        EXPECT_EQ(socs.misses, 1U) << threads << " threads";
+        EXPECT_EQ(socs.hits, 7U) << threads << " threads";
+        EXPECT_EQ(socs.size, 1U);
+        EXPECT_EQ(service.tables_cache_stats().misses, 1U);
+    }
+}
+
+TEST(ServiceResolution, PathSpecIsReadAgainOnEveryRequest)
+{
+    const std::string path = testing::TempDir() + "/mst_service_resolution_" +
+                             std::to_string(::getpid()) + ".soc";
+    const std::string request =
+        R"({"id":"p","soc":")" + json_escape(path) + R"(",)" + kResolveCell + "}";
+    const Soc first = random_soc(5, 6);
+    const Soc second = random_soc(6, 6);
+    RequestService service;
+    save_soc_file(path, first);
+    const JsonValue before = response(service.execute_one(request));
+    save_soc_file(path, second); // same path, new content
+    const JsonValue after = response(service.execute_one(request));
+    std::remove(path.c_str());
+
+    ASSERT_TRUE(before.find("ok")->as_bool());
+    ASSERT_TRUE(after.find("ok")->as_bool());
+    EXPECT_EQ(before.find("fingerprint")->as_string(), fingerprint_hex(soc_fingerprint(first)));
+    EXPECT_EQ(after.find("fingerprint")->as_string(), fingerprint_hex(soc_fingerprint(second)));
+    const CacheStats socs = service.soc_cache_stats();
+    EXPECT_EQ(socs.hits + socs.misses, 0U); // paths never enter the cache
+}
+
+TEST(ServiceResolution, MalformedTextFailsIdenticallyFromTheCache)
+{
+    const std::string request = inline_request(
+        "bad", "soc broken\nmodule m inputs x outputs 1 patterns 1\nend\n", kResolveCell);
+    RequestService service;
+    const std::string first = service.execute_one(request);
+    const std::string second = service.execute_one(request);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(response(first).find("error")->find("kind")->as_string(), "parse") << first;
+    const CacheStats socs = service.soc_cache_stats();
+    EXPECT_EQ(socs.misses, 1U);
+    EXPECT_EQ(socs.hits, 1U); // the parse failure is cached and rethrown
+}
+
+TEST(ServiceResolution, ContentEqualTextsShareFingerprintAndMemoEntry)
+{
+    const std::string text = soc_to_string(random_soc(7, 6));
+    std::string commented = "# same content, other bytes\n\n" + text;
+    commented.insert(commented.find("\nmodule") + 1, "\n# a note\n\n");
+    ASSERT_NE(commented, text);
+    RequestService service;
+    const std::vector<std::string> out = service.execute({
+        inline_request("a", text, kResolveCell),
+        inline_request("b", commented, kResolveCell),
+        R"({"op":"stats"})",
+    });
+    const JsonValue a = response(out[0]);
+    const JsonValue b = response(out[1]);
+    ASSERT_TRUE(a.find("ok")->as_bool()) << out[0];
+    ASSERT_TRUE(b.find("ok")->as_bool()) << out[1];
+    EXPECT_EQ(a.find("fingerprint")->as_string(), b.find("fingerprint")->as_string());
+    const JsonValue stats = response(out[2]);
+    EXPECT_EQ(stat(stats, "solution_memo", "size"), 1.0);
+    EXPECT_EQ(stat(stats, "solution_memo", "hits"), 1.0);
+    EXPECT_EQ(service.soc_cache_stats().misses, 2U); // keyed by bytes
+}
+
+TEST(ServiceResolution, EvictionsKeepResponsesCorrect)
+{
+    ServiceConfig config;
+    config.threads = 1;
+    config.tables_cache_capacity = 2;
+    RequestService service(config);
+    for (int channels : {128, 256, 512}) {
+        for (std::uint64_t seed = 10; seed < 15; ++seed) {
+            const std::string request = inline_request(
+                std::to_string(seed), soc_to_string(random_soc(seed, 6)),
+                R"("channels":)" + std::to_string(channels) + R"(,"depth":"1M")");
+            EXPECT_EQ(service.execute_one(request), RequestService().execute_one(request))
+                << request;
+        }
+    }
+    const CacheStats socs = service.soc_cache_stats();
+    EXPECT_EQ(socs.size, 2U);
+    EXPECT_EQ(socs.misses, 15U); // five texts cycled through two slots
+    EXPECT_EQ(socs.evictions, 13U);
 }
 
 // --- JSON reader corner cases (service/json.hpp) ---
