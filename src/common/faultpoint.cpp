@@ -226,6 +226,7 @@ const std::vector<const char*>& known_points()
         "net.write",              // server response write, per delivery
         "framing.read",           // FrameReader, per decoded frame
         "cache.tables_build",     // RequestService, per optimize tables lookup
+        "cache.soc_resolve",      // RequestService, per SOC parse + fingerprint
         "sweep.checkpoint_write", // ShardWriter, per result record
         "sweep.trailer_write",    // ShardWriter::finish, per shard trailer
         "sweep.worker_spawn",     // sweep supervisor, per worker fork

@@ -14,7 +14,9 @@
 // rethrown to every present and future caller). The service's computes
 // are deterministic functions of the key, so a failure is permanent and
 // re-running it would only burn time and make the counters depend on
-// scheduling.
+// scheduling. A caller that sees a failure which is *not* a function of
+// the key (an allocation failure, an injected fault) drops it with
+// forget_failure, so the next call computes again.
 #pragma once
 
 #include <chrono>
@@ -64,14 +66,16 @@ public:
                 ++misses_;
                 promise = std::make_shared<std::promise<ValuePtr>>();
                 future = promise->get_future().share();
-                lru_.push_front(key);
-                entries_.emplace(key, Entry{future, lru_.begin()});
+                const auto added = entries_.emplace(key, Entry{future, {}}).first;
+                lru_.push_front(&added->first);
+                added->second.lru_position = lru_.begin();
                 while (entries_.size() > capacity_) {
                     // Evicting the LRU entry is safe even mid-compute:
                     // the shared state lives on in every waiter's future.
                     ++evictions_;
-                    entries_.erase(lru_.back());
+                    const auto victim = entries_.find(*lru_.back());
                     lru_.pop_back();
+                    entries_.erase(victim);
                 }
             }
         }
@@ -112,6 +116,26 @@ public:
         }
     }
 
+    /// Drop `key` if its compute has finished with an exception, so the
+    /// next get_or_compute runs it again. A finished value, an in-flight
+    /// compute or an absent key is left alone. Not counted as an eviction.
+    void forget_failure(const Key& key)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find(key);
+        if (it == entries_.end() ||
+            it->second.future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+            return;
+        }
+        try {
+            (void)it->second.future.get();
+            return; // a value, perhaps recomputed since the caller's failure
+        } catch (...) {
+        }
+        lru_.erase(it->second.lru_position);
+        entries_.erase(it);
+    }
+
     [[nodiscard]] CacheStats stats() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -127,13 +151,15 @@ public:
 private:
     struct Entry {
         std::shared_future<ValuePtr> future;
-        typename std::list<Key>::iterator lru_position;
+        typename std::list<const Key*>::iterator lru_position;
     };
 
     mutable std::mutex mutex_;
     std::size_t capacity_;
     std::map<Key, Entry> entries_;
-    std::list<Key> lru_;  ///< front = most recently used
+    /// Front = most recently used. Points at the keys in entries_ (map
+    /// nodes never move), so a key of up to a whole .soc text is held once.
+    std::list<const Key*> lru_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;

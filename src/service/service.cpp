@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <ostream>
+#include <system_error>
 
 #include "batch/batch_runner.hpp"
 #include "common/executor.hpp"
@@ -43,6 +44,10 @@ int RequestService::thread_count(std::size_t jobs) const noexcept
 std::shared_ptr<const ResolvedSoc> RequestService::resolve(const protocol::Request& request)
 {
     const auto compute = [&]() -> std::shared_ptr<const ResolvedSoc> {
+        if (const std::errc fault = MST_FAULTPOINT("cache.soc_resolve"); fault != std::errc{}) {
+            throw std::system_error(std::make_error_code(fault),
+                                    "injected fault: SOC resolution failed");
+        }
         auto resolved = std::make_shared<ResolvedSoc>();
         resolved->soc = share_soc(request.inline_soc
                                       ? parse_soc_string(request.soc_text, "<request>")
@@ -54,7 +59,21 @@ std::shared_ptr<const ResolvedSoc> RequestService::resolve(const protocol::Reque
     // Only inline text is a pure function of its bytes. A path is re-read
     // on every request because the file may change in between; a built-in
     // name is cheap, and keying it here could collide with inline text.
-    return request.inline_soc ? socs_.get_or_compute(request.soc_text, compute) : compute();
+    if (!request.inline_soc) {
+        return compute();
+    }
+    try {
+        return socs_.get_or_compute(request.soc_text, compute);
+    } catch (const ParseError&) {
+        throw; // a property of the bytes: stays cached
+    } catch (const ValidationError&) {
+        throw;
+    } catch (...) {
+        // Not a property of the bytes (bad_alloc, an injected fault):
+        // the next request for this text resolves again.
+        socs_.forget_failure(request.soc_text);
+        throw;
+    }
 }
 
 std::shared_ptr<const SolutionOutcome> RequestService::outcome_for(

@@ -150,9 +150,10 @@ public:
 
 private:
     /// The request's SOC, parsed and fingerprinted. Inline text goes
-    /// through the resolution cache (a failure is cached and rethrown
-    /// like any LruCache compute); names and paths resolve afresh.
-    /// Throws ParseError / ValidationError for a bad SOC.
+    /// through the resolution cache, which keeps parse and validation
+    /// failures (functions of the bytes) and forgets any other; names
+    /// and paths resolve afresh. Throws ParseError / ValidationError for
+    /// a bad SOC.
     [[nodiscard]] std::shared_ptr<const ResolvedSoc> resolve(
         const protocol::Request& request);
     [[nodiscard]] std::string run_optimize(const protocol::Request& request, bool& ok);

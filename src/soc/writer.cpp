@@ -5,6 +5,8 @@
 #include <cstring>
 #include <fstream>
 #include <ostream>
+#include <string_view>
+#include <system_error>
 
 #include "common/error.hpp"
 
@@ -47,45 +49,50 @@ void render(const Soc& soc, Sink& sink)
     sink.text("end\n");
 }
 
+/// to_chars into [first, last); nullptr when the number does not fit.
+char* put_number(char* first, char* last, std::int64_t value)
+{
+    const std::to_chars_result result = std::to_chars(first, last, value);
+    return result.ec == std::errc{} ? result.ptr : nullptr;
+}
+
 /// Sink that only counts the bytes render() emits.
 struct Measure {
     std::size_t size = 0;
 
-    template <std::size_t N>
-    void text(const char (&)[N])
-    {
-        size += N - 1;
-    }
-    void text(const std::string& s) { size += s.size(); }
+    void text(std::string_view s) { size += s.size(); }
     void number(std::int64_t value)
     {
-        std::uint64_t magnitude = value < 0 ? 0 - static_cast<std::uint64_t>(value)
-                                            : static_cast<std::uint64_t>(value);
-        size += value < 0 ? 2 : 1;
-        for (; magnitude >= 10; magnitude /= 10) {
-            ++size;
-        }
+        char digits[20]; // strlen("-9223372036854775808")
+        size += static_cast<std::size_t>(put_number(digits, digits + sizeof digits, value) -
+                                          digits);
     }
 };
 
-/// Sink that writes into a buffer Measure has sized exactly.
+/// Sink that writes into the buffer Measure sized. Bounded by the buffer
+/// end, so a disagreement with Measure throws instead of overrunning.
 struct Write {
     char* at;
+    char* end;
 
-    template <std::size_t N>
-    void text(const char (&literal)[N])
+    void text(std::string_view s)
     {
-        std::memcpy(at, literal, N - 1);
-        at += N - 1;
-    }
-    void text(const std::string& s)
-    {
+        if (s.size() > static_cast<std::size_t>(end - at)) {
+            overrun();
+        }
         std::memcpy(at, s.data(), s.size());
         at += s.size();
     }
     void number(std::int64_t value)
     {
-        at = std::to_chars(at, at + 20, value).ptr; // 20 = strlen("-9223372036854775808")
+        at = put_number(at, end, value);
+        if (at == nullptr) {
+            overrun();
+        }
+    }
+    [[noreturn]] static void overrun()
+    {
+        throw Error("canonical .soc rendition overran its measured size");
     }
 };
 
@@ -105,8 +112,11 @@ std::string soc_to_string(const Soc& soc)
     Measure measure;
     render(soc, measure);
     std::string out(measure.size, '\0');
-    Write write{out.data()};
+    Write write{out.data(), out.data() + out.size()};
     render(soc, write);
+    if (write.at != write.end) {
+        Write::overrun(); // Measure counted bytes render() never wrote
+    }
     return out;
 }
 

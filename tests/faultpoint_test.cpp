@@ -161,7 +161,7 @@ TEST(FaultPoint, CatalogCoversTheDocumentedPoints)
         return false;
     };
     for (const char* required :
-         {"net.accept", "net.write", "framing.read", "cache.tables_build",
+         {"net.accept", "net.write", "framing.read", "cache.tables_build", "cache.soc_resolve",
           "sweep.checkpoint_write", "sweep.trailer_write", "sweep.worker_spawn",
           "sweep.scenario", "sweep.report_write", "shm.map", "shm.publish",
           "shm.truncate_recover", "shm.checksum"}) {

@@ -418,6 +418,31 @@ TEST(ServiceResolution, MalformedTextFailsIdenticallyFromTheCache)
     EXPECT_EQ(socs.hits, 1U); // the parse failure is cached and rethrown
 }
 
+TEST(ServiceResolution, TransientFailureIsNotCached)
+{
+    // A failure that is not a property of the bytes (here an injected
+    // fault on the first resolution) answers one internal error; the
+    // same text sent again resolves afresh and succeeds.
+    const std::string request =
+        inline_request("t", soc_to_string(random_soc(8, 6)), kResolveCell);
+    fault::install_plan(fault::parse_plan("cache.soc_resolve:fail@1"));
+    RequestService service;
+    const std::string faulted = service.execute_one(request);
+    const std::string healed = service.execute_one(request);
+    fault::clear_plan();
+
+    const JsonValue failed = response(faulted);
+    EXPECT_FALSE(failed.find("ok")->as_bool()) << faulted;
+    EXPECT_EQ(failed.find("error")->find("kind")->as_string(), "internal") << faulted;
+    EXPECT_NE(faulted.find("injected fault"), std::string::npos) << faulted;
+    EXPECT_EQ(healed, RequestService().execute_one(request));
+    const CacheStats socs = service.soc_cache_stats();
+    EXPECT_EQ(socs.misses, 2U);
+    EXPECT_EQ(socs.hits, 0U);
+    EXPECT_EQ(socs.size, 1U);
+    EXPECT_EQ(socs.evictions, 0U);
+}
+
 TEST(ServiceResolution, ContentEqualTextsShareFingerprintAndMemoEntry)
 {
     const std::string text = soc_to_string(random_soc(7, 6));
