@@ -182,6 +182,32 @@ public:
         return static_cast<WireCount>(it - first) + 1;
     }
 
+    /// min_width_for when the answer is known to be at least `from`, as
+    /// when `from` is the module's minimal width at a larger depth
+    /// (minimal widths never shrink as the depth drops). An exponential
+    /// search from `from` returns the same width, in O(log row) probes
+    /// at worst and one probe when the width does not move.
+    [[nodiscard]] std::optional<WireCount> min_width_for(int module_index, CycleCount depth,
+                                                         WireCount from) const noexcept
+    {
+        assert(from >= 1);
+        const TimeRow row = time_row(module_index);
+        if (row.times[row.count - 1] > depth) {
+            return std::nullopt;
+        }
+        // Every width below lo + 1 misses the depth; width hi + 1 fits.
+        std::size_t lo = std::min(static_cast<std::size_t>(from), row.count) - 1;
+        std::size_t hi = lo;
+        for (std::size_t step = 1; row.times[hi] > depth; step *= 2) {
+            lo = hi + 1;
+            hi = std::min(hi + step, row.count - 1);
+        }
+        const CycleCount* it = std::lower_bound(
+            row.times + lo, row.times + hi, depth,
+            [](CycleCount time, CycleCount limit) { return time > limit; });
+        return static_cast<WireCount>(it - row.times) + 1;
+    }
+
     /// Test-data volume of `module_index` in bits (sort key of the
     /// by-volume module orders, precomputed once per SOC).
     [[nodiscard]] std::int64_t volume_bits(int module_index) const noexcept

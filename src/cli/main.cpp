@@ -123,7 +123,7 @@ int cmd_optimize(const Flags& flags)
     const TestCell cell = cell_from_flags(flags);
     OptimizeOptions options = options_from_flags(flags);
     // Intra-scenario concurrency cap; the solution is byte-identical at
-    // any value (deterministic task schedule), so 0 = all cores is safe.
+    // any value, so 0 = all cores is safe.
     options.threads = parse_int_flag("threads", flag_or(flags, "threads", "0"));
     cell.validate(); // fail fast: the table build below is the expensive part
     const SocTimeTables tables(soc, TableBuild::fast, options.threads);
@@ -816,7 +816,7 @@ int cmd_help()
         "           [--index S] [--contact S] [--broadcast] [--abort-on-fail]\n"
         "           [--retest] [--pc P] [--pm P] [--step1-only] [--gantt] [--json]\n"
         "           [--threads N] [--exact] [--exact-budget-ms N]\n"
-        "           (--threads caps the intra-scenario search concurrency;\n"
+        "           (--threads caps the table-build and site-curve fan-outs;\n"
         "            the solution is byte-identical at any thread count;\n"
         "            --exact certifies Step 1 with the branch-and-bound solver,\n"
         "            --exact-budget-ms caps it by a deterministic node budget)\n"

@@ -1,7 +1,7 @@
 // Process-wide task executor: one lazily-started thread pool shared by
 // every parallel surface of the library (BatchRunner scenario fan-out,
-// RequestService request fan-out, the intra-scenario Step-1/Step-2
-// search, SocTimeTables construction, `mst bench`).
+// RequestService request fan-out, SocTimeTables construction, the
+// Step-2 site curve, the exact solver's subtree waves, `mst bench`).
 //
 // Design rules:
 //   * The process owns exactly one pool (Executor::global()); explicit
@@ -82,10 +82,9 @@ public:
     /// the lowest-index exception, if any.
     ///
     /// The cap is per fan-out, not per process: each nested for_index
-    /// (scenario fan-out -> pack batch -> greedy passes) may claim up to
-    /// max_threads - 1 helpers of its own, so a process running several
-    /// capped loops at once can occupy more than max_threads workers in
-    /// total. The pool's fixed worker count is the hard bound; the cap
+    /// (scenario fan-out -> table build) may claim up to max_threads - 1
+    /// helpers of its own, so a process running several capped loops at
+    /// once can occupy more than max_threads workers in total. The pool's fixed worker count is the hard bound; the cap
     /// limits how much of it one loop may grab.
     void for_index(std::size_t count, int max_threads,
                    const std::function<void(std::size_t)>& fn);

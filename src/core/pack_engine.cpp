@@ -5,7 +5,6 @@
 
 #include "arch/best_fit_index.hpp"
 #include "arch/channel_group.hpp"
-#include "common/executor.hpp"
 
 namespace mst {
 
@@ -316,61 +315,49 @@ PassPlan make_pass_plan(const OptimizeOptions& options)
 } // namespace
 
 PackEngine::PackEngine(const SocTimeTables& tables, const OptimizeOptions& options)
-    : tables_(&tables), options_(options)
+    : tables_(&tables), options_(options), scratch_(std::make_unique<PackScratch>(tables))
 {
 }
 
 PackEngine::~PackEngine() = default;
 
-PackStats PackEngine::stats() const noexcept
+PackEngine::DepthProfile PackEngine::make_profile(CycleCount depth, const DepthProfile* deeper)
 {
-    PackStats stats;
-    stats.pack_calls = pack_calls_.load(std::memory_order_relaxed);
-    stats.pack_cache_hits = pack_cache_hits_.load(std::memory_order_relaxed);
-    stats.greedy_passes = greedy_passes_.load(std::memory_order_relaxed);
-    stats.depth_profiles = depth_profiles_.load(std::memory_order_relaxed);
-    stats.pruned_packs = pruned_packs_.load(std::memory_order_relaxed);
-    return stats;
-}
-
-std::unique_ptr<PackScratch> PackEngine::acquire_scratch()
-{
-    {
-        std::lock_guard<std::mutex> lock(scratch_mutex_);
-        if (!scratch_pool_.empty()) {
-            std::unique_ptr<PackScratch> scratch = std::move(scratch_pool_.back());
-            scratch_pool_.pop_back();
-            return scratch;
-        }
-    }
-    return std::make_unique<PackScratch>(*tables_);
-}
-
-void PackEngine::release_scratch(std::unique_ptr<PackScratch> scratch)
-{
-    std::lock_guard<std::mutex> lock(scratch_mutex_);
-    scratch_pool_.push_back(std::move(scratch));
-}
-
-PackEngine::DepthProfile PackEngine::make_profile(CycleCount depth)
-{
-    depth_profiles_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.depth_profiles;
     DepthProfile profile;
-    std::vector<WireCount> min_widths(static_cast<std::size_t>(tables_->module_count()));
-    for (int m = 0; m < tables_->module_count(); ++m) {
-        const std::optional<WireCount> width = tables_->min_width_for(m, depth);
+    if (deeper && !deeper->min_widths) {
+        return profile; // a module fits no width even deeper: infeasible here too
+    }
+    const auto count = static_cast<std::size_t>(tables_->module_count());
+    std::vector<WireCount> min_widths(count);
+    if (deeper) {
+        profile.area_floor = deeper->area_floor;
+    }
+    for (std::size_t m = 0; m < count; ++m) {
+        const int module_index = static_cast<int>(m);
+        // Minimal widths never shrink as the depth drops: a deeper
+        // profile's width is where the search starts (0: no seed).
+        const WireCount from = deeper ? (*deeper->min_widths)[m] : 0;
+        const std::optional<WireCount> width =
+            from > 0 ? tables_->min_width_for(module_index, depth, from)
+                     : tables_->min_width_for(module_index, depth);
         if (!width) {
             return profile; // min_widths stays nullopt: depth infeasible
         }
-        min_widths[static_cast<std::size_t>(m)] = *width;
+        min_widths[m] = *width;
         profile.widest = std::max(profile.widest, *width);
-        profile.area_floor += tables_->min_area_from(m, *width);
+        if (*width != from) {
+            profile.area_floor += tables_->min_area_from(module_index, *width);
+            if (from > 0) {
+                profile.area_floor -= tables_->min_area_from(module_index, from);
+            }
+        }
     }
     profile.min_widths = std::move(min_widths);
     return profile;
 }
 
-const std::vector<int>& PackEngine::shared_order_locked(ModuleOrder order)
+const std::vector<int>& PackEngine::shared_order(ModuleOrder order)
 {
     auto found = shared_orders_.find(order);
     if (found == shared_orders_.end()) {
@@ -381,24 +368,15 @@ const std::vector<int>& PackEngine::shared_order_locked(ModuleOrder order)
 
 const std::vector<int>& PackEngine::order_for(DepthProfile& profile, ModuleOrder order)
 {
-    // Parallel passes share one profile; the lazy order build is the
-    // profile's only mutation after construction, so it is the only
-    // place that needs a lock. Order contents are a pure function of
-    // (depth, kind) — whichever thread builds one builds the same.
-    std::lock_guard<std::mutex> lock(orders_mutex_);
     if (order != ModuleOrder::by_min_width) {
         // Depth-independent kinds are shared across every profile.
-        return shared_order_locked(order);
+        return shared_order(order);
     }
-    auto found = profile.orders.find(order);
-    if (found == profile.orders.end()) {
-        const std::vector<int>& volume_order = shared_order_locked(ModuleOrder::by_volume);
-        found = profile.orders
-                    .emplace(order, order_by_min_width(*profile.min_widths, profile.widest,
-                                                       volume_order))
-                    .first;
+    if (!profile.by_min_width) {
+        profile.by_min_width = order_by_min_width(*profile.min_widths, profile.widest,
+                                                  shared_order(ModuleOrder::by_volume));
     }
-    return found->second;
+    return *profile.by_min_width;
 }
 
 std::optional<Architecture> PackEngine::pack_uncached(CycleCount depth,
@@ -412,174 +390,52 @@ std::optional<Architecture> PackEngine::pack_uncached(CycleCount depth,
     // per-depth floor, so a budget below floor / depth is infeasible
     // without running any pass. Sound, hence byte-identical results.
     if (profile.area_floor > static_cast<CycleCount>(wire_budget) * depth) {
-        pruned_packs_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.pruned_packs;
         return std::nullopt;
     }
 
+    // The passes in the sequential preference order; the first that
+    // packs wins and no later pass runs.
     const PassPlan plan = make_pass_plan(options_);
-    const std::size_t passes = plan.count();
-    const auto run_pass = [&](std::size_t pass) -> std::optional<Architecture> {
-        OptimizeOptions pass_options = options_;
+    OptimizeOptions pass_options = options_;
+    for (std::size_t pass = 0; pass < plan.count(); ++pass) {
         pass_options.expansion = plan.expansion_of(pass);
-        greedy_passes_.fetch_add(1, std::memory_order_relaxed);
-        const std::vector<int>& order = order_for(profile, plan.order_of(pass));
-        std::unique_ptr<PackScratch> scratch = acquire_scratch();
-        std::optional<Architecture> packed = step1_pass(
-            *tables_, depth, wire_budget, *profile.min_widths, order, pass_options, *scratch);
-        release_scratch(std::move(scratch));
-        return packed;
-    };
-
-    // Adaptive waves over the pass combinations: the winner is always
-    // the lowest feasible pass index — the pass the sequential scan
-    // would have kept — regardless of thread count.
-    std::size_t begin = 0;
-    for (int wave = 0; begin < passes; ++wave) {
-        const std::size_t end = std::min(passes, begin + pack_wave_extent(wave));
-        const std::size_t width = end - begin;
-        if (width == 1) {
-            std::optional<Architecture> packed = run_pass(begin);
-            if (packed) {
-                return packed;
-            }
-        } else {
-            std::vector<std::optional<Architecture>> results(width);
-            parallel_for_index(width, parallel_cap(), [&](std::size_t i) {
-                results[i] = run_pass(begin + i);
-            });
-            for (std::size_t i = 0; i < width; ++i) {
-                if (results[i]) {
-                    return std::move(results[i]);
-                }
-            }
+        ++stats_.greedy_passes;
+        std::optional<Architecture> packed =
+            step1_pass(*tables_, depth, wire_budget, *profile.min_widths,
+                       order_for(profile, plan.order_of(pass)), pass_options, *scratch_);
+        if (packed) {
+            return packed;
         }
-        begin = end;
     }
     return std::nullopt;
 }
 
 std::optional<Architecture> PackEngine::pack_within(CycleCount depth, WireCount wire_budget)
 {
-    // Single-query path without the batch staging: identical stats and
-    // results, no vector/map churn on the hot small-SOC cases.
-    pack_calls_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.pack_calls;
     if (!options_.memoize) {
-        DepthProfile fresh = make_profile(depth);
+        DepthProfile fresh = make_profile(depth, nullptr);
         return pack_uncached(depth, wire_budget, fresh);
     }
     const auto key = std::make_pair(depth, wire_budget);
     const auto cached = packs_.find(key);
     if (cached != packs_.end()) {
-        pack_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.pack_cache_hits;
         return cached->second;
     }
     auto profile = profiles_.find(depth);
     if (profile == profiles_.end()) {
-        profile = profiles_.emplace(depth, make_profile(depth)).first;
+        const auto deeper = profiles_.upper_bound(depth);
+        profile = profiles_
+                      .emplace(depth, make_profile(depth, deeper == profiles_.end()
+                                                              ? nullptr
+                                                              : &deeper->second))
+                      .first;
     }
     std::optional<Architecture> packed = pack_uncached(depth, wire_budget, profile->second);
     packs_.emplace(key, packed);
     return packed;
-}
-
-std::vector<std::optional<Architecture>> PackEngine::pack_batch(
-    const std::vector<PackQuery>& queries)
-{
-    std::vector<std::optional<Architecture>> results(queries.size());
-    if (queries.empty()) {
-        return results;
-    }
-    if (queries.size() == 1) {
-        results[0] = pack_within(queries[0].depth, queries[0].budget);
-        return results;
-    }
-    pack_calls_.fetch_add(static_cast<std::int64_t>(queries.size()),
-                          std::memory_order_relaxed);
-
-    if (!options_.memoize) {
-        // From-scratch mode: every query profiles its depth and runs the
-        // passes on its own, exactly like the equivalent sequence of
-        // uncached pack_within calls.
-        parallel_for_index(queries.size(), parallel_cap(), [&](std::size_t i) {
-            DepthProfile profile = make_profile(queries[i].depth);
-            results[i] = pack_uncached(queries[i].depth, queries[i].budget, profile);
-        });
-        return results;
-    }
-
-    // Phase 1 (coordinator): answer memo hits, dedupe the misses. A
-    // duplicate of an earlier miss in the same batch counts as a hit —
-    // the equivalent pack_within sequence would have found it memoized.
-    using Key = std::pair<CycleCount, WireCount>;
-    std::vector<std::size_t> compute;          // query index of each distinct miss
-    std::map<Key, std::size_t> first_miss;     // key -> index into `compute`
-    std::vector<std::pair<std::size_t, std::size_t>> aliases; // query -> compute slot
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        const Key key{queries[i].depth, queries[i].budget};
-        const auto cached = packs_.find(key);
-        if (cached != packs_.end()) {
-            pack_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-            results[i] = cached->second;
-            continue;
-        }
-        const auto seen = first_miss.find(key);
-        if (seen != first_miss.end()) {
-            pack_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-            aliases.emplace_back(i, seen->second);
-            continue;
-        }
-        first_miss.emplace(key, compute.size());
-        compute.push_back(i);
-    }
-    if (compute.empty()) {
-        return results;
-    }
-
-    // Phase 2 (coordinator + pool): profiles for depths not seen before,
-    // built concurrently, inserted into the map in deterministic order
-    // before any pack task can read them.
-    std::vector<CycleCount> missing_depths;
-    for (const std::size_t i : compute) {
-        const CycleCount depth = queries[i].depth;
-        if (profiles_.find(depth) == profiles_.end() &&
-            std::find(missing_depths.begin(), missing_depths.end(), depth) ==
-                missing_depths.end()) {
-            missing_depths.push_back(depth);
-        }
-    }
-    if (!missing_depths.empty()) {
-        std::vector<DepthProfile> built(missing_depths.size());
-        parallel_for_index(missing_depths.size(), parallel_cap(), [&](std::size_t i) {
-            built[i] = make_profile(missing_depths[i]);
-        });
-        for (std::size_t i = 0; i < missing_depths.size(); ++i) {
-            profiles_.emplace(missing_depths[i], std::move(built[i]));
-        }
-    }
-
-    // Phase 3 (pool): the distinct misses, each a serial-pass-semantics
-    // pack over a stable profile node.
-    std::vector<DepthProfile*> profiles(compute.size());
-    for (std::size_t j = 0; j < compute.size(); ++j) {
-        profiles[j] = &profiles_.at(queries[compute[j]].depth);
-    }
-    std::vector<std::optional<Architecture>> computed(compute.size());
-    parallel_for_index(compute.size(), parallel_cap(), [&](std::size_t j) {
-        const PackQuery& query = queries[compute[j]];
-        computed[j] = pack_uncached(query.depth, query.budget, *profiles[j]);
-    });
-
-    // Phase 4 (coordinator): publish to the memo in query order, then
-    // fill the answer slots.
-    for (std::size_t j = 0; j < compute.size(); ++j) {
-        const PackQuery& query = queries[compute[j]];
-        packs_.emplace(Key{query.depth, query.budget}, computed[j]);
-        results[compute[j]] = std::move(computed[j]);
-    }
-    for (const auto& [query_index, compute_slot] : aliases) {
-        results[query_index] = results[compute[compute_slot]];
-    }
-    return results;
 }
 
 } // namespace mst

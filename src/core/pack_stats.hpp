@@ -9,7 +9,7 @@
 namespace mst {
 
 struct PackStats {
-    std::int64_t pack_calls = 0;      ///< pack queries issued (batch or single)
+    std::int64_t pack_calls = 0;      ///< pack queries issued
     std::int64_t pack_cache_hits = 0; ///< served from the (depth, budget) memo
     std::int64_t greedy_passes = 0;   ///< full greedy passes actually run
     std::int64_t depth_profiles = 0;  ///< distinct virtual depths profiled

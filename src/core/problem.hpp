@@ -84,12 +84,12 @@ struct OptimizeOptions {
     /// was exhausted within the budget.
     std::int64_t exact_budget_ms = 0;
 
-    /// Concurrency cap for the intra-scenario search (Step-1 budget
-    /// probes, Step-2 re-pack scans, greedy pass waves, table builds).
-    /// <= 0 uses the whole shared executor (hardware width); 1 runs the
-    /// same deterministic schedule inline. The solution AND the work
-    /// counters are byte-identical at every value — threads only change
-    /// how fast the fixed task schedule drains.
+    /// Concurrency cap for the fan-outs of one optimize call: the
+    /// SocTimeTables build and the site-curve evaluation of 256 or more
+    /// points. The Step-1 and Step-2 packing scans are sequential.
+    /// <= 0 uses the whole shared executor (hardware width); 1 runs
+    /// everything inline. The solution AND the work counters are
+    /// byte-identical at every value.
     int threads = 0;
 };
 

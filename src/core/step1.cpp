@@ -26,64 +26,6 @@ std::vector<double> sweep_fractions(bool budget_search)
     return fractions;
 }
 
-/// Evaluate one wire budget: the (fraction x order x policy) candidates
-/// run as adaptive waves of pack queries — the fractions fan out through
-/// PackEngine::pack_batch, each uncached query runs its order/policy
-/// passes in its own waves — and the winner is the lowest fraction index
-/// that packs, i.e. exactly the candidate the sequential sweep keeps.
-std::optional<Architecture> probe_budget(PackEngine& engine,
-                                         const std::vector<CycleCount>& virtual_depths,
-                                         WireCount budget)
-{
-    std::size_t begin = 0;
-    for (int wave = 0; begin < virtual_depths.size(); ++wave) {
-        const std::size_t end =
-            std::min(virtual_depths.size(), begin + pack_wave_extent(wave));
-        std::vector<PackQuery> queries;
-        queries.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-            queries.push_back({virtual_depths[i], budget});
-        }
-        std::vector<std::optional<Architecture>> packs = engine.pack_batch(queries);
-        for (std::optional<Architecture>& packed : packs) {
-            if (packed) {
-                return std::move(packed);
-            }
-        }
-        begin = end;
-    }
-    return std::nullopt;
-}
-
-/// Probe a contiguous ascending run of budgets [first, last) at once:
-/// every (budget x fraction) candidate of the run goes through one
-/// pack_batch, and the winner is the first success in budget-major,
-/// fraction-minor order — exactly the candidate the sequential budget
-/// ascent keeps. Probing the whole block wastes nothing on the
-/// infeasible prefix (the sequential scan evaluates every fraction of
-/// an infeasible budget anyway) and at most the tail of the winning
-/// run beyond the winner.
-std::optional<Architecture> probe_budget_run(PackEngine& engine,
-                                             const std::vector<CycleCount>& virtual_depths,
-                                             WireCount first,
-                                             WireCount last)
-{
-    std::vector<PackQuery> queries;
-    queries.reserve(static_cast<std::size_t>(last - first) * virtual_depths.size());
-    for (WireCount budget = first; budget < last; ++budget) {
-        for (const CycleCount depth : virtual_depths) {
-            queries.push_back({depth, budget});
-        }
-    }
-    std::vector<std::optional<Architecture>> packs = engine.pack_batch(queries);
-    for (std::optional<Architecture>& packed : packs) {
-        if (packed) {
-            return std::move(packed);
-        }
-    }
-    return std::nullopt;
-}
-
 } // namespace
 
 Step1Result run_step1(PackEngine& engine, const AteSpec& ate)
@@ -127,31 +69,21 @@ Step1Result run_step1(PackEngine& engine, const AteSpec& ate)
     // the budget through head_room), so a gallop/bisect over budgets
     // could skip the true minimum or miss a feasible packing entirely —
     // every budget below the winner must actually be probed. The scan
-    // runs in the shared adaptive waves instead: the first two waves
-    // mirror the sequential ascent exactly (early exit per fraction),
-    // later waves batch whole (budget x fraction) blocks through
-    // pack_batch, and the winner is the first success in budget-major,
-    // fraction-minor order — byte-identical to the sequential ascent by
-    // construction, at any thread count. Without budget_search a single
-    // unconstrained probe reproduces the raw greedy of the paper.
+    // is budget-major, fraction-minor and stops at the first candidate
+    // that packs. Without budget_search a single unconstrained probe
+    // reproduces the raw greedy of the paper.
     const CycleCount total_min_area = tables.total_min_area();
     const auto area_bound = static_cast<WireCount>((total_min_area + depth - 1) / depth);
     const WireCount search_from =
         options.budget_search ? std::max(widest, area_bound) : ate_wires;
 
     std::optional<Architecture> packed;
-    if (search_from <= ate_wires) {
-        const auto budget_count = static_cast<std::size_t>(ate_wires - search_from) + 1;
-        std::size_t begin = 0;
-        for (int wave = 0; begin < budget_count && !packed; ++wave) {
-            const std::size_t end =
-                std::min(budget_count, begin + pack_wave_extent(wave));
-            const WireCount first = search_from + static_cast<WireCount>(begin);
-            const WireCount last = search_from + static_cast<WireCount>(end);
-            packed = (end - begin == 1)
-                         ? probe_budget(engine, virtual_depths, first)
-                         : probe_budget_run(engine, virtual_depths, first, last);
-            begin = end;
+    for (WireCount budget = search_from; budget <= ate_wires && !packed; ++budget) {
+        for (const CycleCount virtual_depth : virtual_depths) {
+            packed = engine.pack_within(virtual_depth, budget);
+            if (packed) {
+                break;
+            }
         }
     }
     if (!packed) {

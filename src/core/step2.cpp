@@ -89,33 +89,19 @@ namespace {
 /// Re-pack fallback: when widening the bottleneck group cannot shorten
 /// the test any further (its modules are width-saturated), rebuilding the
 /// whole per-site architecture for the full wire budget at the smallest
-/// feasible virtual depth can. The candidate depths are scanned in
-/// adaptive parallel waves with a deterministic reduction — the winner
-/// is the first (lowest) index whose packing beats `beat_cycles`, the
-/// same packing the sequential bottom-up scan returns.
+/// feasible virtual depth can. The candidate depths are scanned bottom-up
+/// and the first packing that beats `beat_cycles` wins.
 std::optional<Architecture> repack_for_budget(PackEngine& engine,
                                               CycleCount depth,
                                               WireCount wire_budget,
                                               CycleCount beat_cycles)
 {
-    const std::vector<CycleCount> candidates =
-        repack_candidates(engine.tables(), depth, wire_budget, beat_cycles);
-
-    std::size_t begin = 0;
-    for (int wave = 0; begin < candidates.size(); ++wave) {
-        const std::size_t end = std::min(candidates.size(), begin + pack_wave_extent(wave));
-        std::vector<PackQuery> queries;
-        queries.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-            queries.push_back({candidates[i], wire_budget});
+    for (const CycleCount candidate :
+         repack_candidates(engine.tables(), depth, wire_budget, beat_cycles)) {
+        std::optional<Architecture> packed = engine.pack_within(candidate, wire_budget);
+        if (packed && packed->test_cycles() < beat_cycles) {
+            return packed;
         }
-        std::vector<std::optional<Architecture>> packs = engine.pack_batch(queries);
-        for (std::optional<Architecture>& packed : packs) {
-            if (packed && packed->test_cycles() < beat_cycles) {
-                return std::move(packed);
-            }
-        }
-        begin = end;
     }
     return std::nullopt;
 }
@@ -143,9 +129,8 @@ Step2Result run_step2(PackEngine& engine, const Step1Result& step1, const TestCe
     // `incumbent` carries the best architecture found so far down the
     // linear search; the per-site budget only grows as n shrinks, so the
     // incumbent always fits and the test time is monotone along the
-    // curve. The chain is inherently sequential — each n's budget scan
-    // starts from the previous incumbent — but the expensive part, the
-    // re-pack packing queries, fans out inside repack_for_budget.
+    // curve. The chain is inherently sequential: each n's budget scan
+    // starts from the previous incumbent.
     Architecture incumbent = step1.architecture;
     for (std::size_t i = 0; i < count; ++i) {
         const SiteCount n = step1.max_sites - static_cast<SiteCount>(i);
@@ -184,7 +169,7 @@ Step2Result run_step2(PackEngine& engine, const Step1Result& step1, const TestCe
     result.curve.resize(count);
     std::vector<ThroughputResult> throughputs(count);
     const bool fan_out = count >= 256 && Executor::global().worker_count() >= 2;
-    parallel_for_index(count, fan_out ? engine.parallel_cap() : 1, [&](std::size_t i) {
+    parallel_for_index(count, fan_out ? options.threads : 1, [&](std::size_t i) {
         throughputs[i] = evaluate_shape(sites[i], shapes[i], cell, options);
         result.curve[i] = make_point(sites[i], shapes[i], cell, throughputs[i], options.retest);
     });

@@ -11,7 +11,6 @@
 #include "common/error.hpp"
 #include "common/executor.hpp"
 #include "common/math.hpp"
-#include "core/pack_engine.hpp" // pack_wave_extent: the shared wave schedule
 
 namespace mst {
 
@@ -24,6 +23,21 @@ constexpr WireCount no_limit_wires = std::numeric_limits<WireCount>::max();
 /// the thread count — so the wave schedule, and with it every node
 /// count, is identical on any machine.
 constexpr std::size_t frontier_target = 32;
+
+/// Subtree roots per wave of the frontier search: 1, 1, 2, 4, then 8.
+/// The first waves tighten the incumbent bound before wider waves fan
+/// out. Part of the deterministic schedule: the bound is snapshot per
+/// wave, so changing the extents changes the node counts.
+[[nodiscard]] constexpr std::size_t wave_extent(int wave) noexcept
+{
+    switch (wave) {
+    case 0: return 1;
+    case 1: return 1;
+    case 2: return 2;
+    case 3: return 4;
+    default: return 8;
+    }
+}
 
 /// Read-only search context shared by every subtree task.
 struct Context {
@@ -389,7 +403,7 @@ ExactResult exact_search(const SocTimeTables& tables, CycleCount depth,
     }
 
     // Phase 2: the frontier's sibling subtrees as adaptive waves on the
-    // shared executor — the Step-1/Step-2 wave discipline. The bound and
+    // shared executor. The bound and
     // the per-task node caps are snapshot at each wave start, and the
     // reduction walks the wave in index order taking strict
     // improvements only (lowest-index winner), so results and node
@@ -400,7 +414,7 @@ ExactResult exact_search(const SocTimeTables& tables, CycleCount depth,
                                std::make_move_iterator(queue.end()));
     std::size_t begin = 0;
     for (int wave = 0; begin < frontier.size() && !truncated; ++wave) {
-        const std::size_t end = std::min(frontier.size(), begin + pack_wave_extent(wave));
+        const std::size_t end = std::min(frontier.size(), begin + wave_extent(wave));
         const std::size_t width = end - begin;
         std::int64_t cap = 0;
         if (options.node_limit != 0) {

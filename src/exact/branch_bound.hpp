@@ -14,9 +14,9 @@
 //
 // Parallel discipline: the tree is expanded breadth-first to a fixed
 // frontier of subtree roots, and the roots are then searched as
-// adaptive waves on Executor::global() — the same pack_wave_extent
-// schedule as the Step-1/Step-2 scans, with the incumbent bound
-// snapshot at each wave start and a lowest-index-winner reduction.
+// adaptive waves (1, 1, 2, 4, then 8 roots) on Executor::global(), with
+// the incumbent bound snapshot at each wave start and a
+// lowest-index-winner reduction.
 // Node counts and results are therefore byte-identical at any thread
 // count. Not meant for production SOCs — Step 1 is; this is the
 // yardstick Step 1 is measured against.

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 
 #include "arch/channel_group.hpp"
 #include "common/error.hpp"
+#include "soc/generator.hpp"
 #include "soc/soc.hpp"
 #include "wrapper/wrapper_design.hpp"
 
@@ -157,6 +159,32 @@ TEST(SocTimeTables, FlatAccessorsMatchBruteForce)
             }
             EXPECT_EQ(tables.min_width_for(m, depth), narrowest)
                 << "m=" << m << " depth=" << depth;
+        }
+    }
+}
+
+TEST(SocTimeTables, SeededMinWidthSearchMatchesFullSearch)
+{
+    // The seeded search may start anywhere at or below the true minimal
+    // width (PackEngine seeds it from a deeper depth profile) and must
+    // land exactly where the full binary search does.
+    for (const std::uint64_t seed : {11u, 12u, 13u}) {
+        const Soc soc = random_soc(seed, 30);
+        const SocTimeTables tables(soc);
+        for (int m = 0; m < tables.module_count(); ++m) {
+            const WireCount widths = tables.flat_max_width(m);
+            for (WireCount w = 1; w <= widths; ++w) {
+                for (const CycleCount depth :
+                     {tables.time(m, w) - 1, tables.time(m, w), tables.time(m, w) + 1}) {
+                    const std::optional<WireCount> full = tables.min_width_for(m, depth);
+                    const WireCount seed_limit = full.value_or(widths);
+                    for (WireCount from = 1; from <= seed_limit; ++from) {
+                        ASSERT_EQ(tables.min_width_for(m, depth, from), full)
+                            << "seed " << seed << " m=" << m << " depth=" << depth
+                            << " from=" << from;
+                    }
+                }
+            }
         }
     }
 }

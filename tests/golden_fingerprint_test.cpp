@@ -1,6 +1,7 @@
 // Golden fingerprint tests for the memoized Step-1/Step-2 pipeline: on
-// every ITC'02 benchmark SOC and every ExpansionPolicy ablation, the
-// fast path (WrapperTimeCalculator tables + PackEngine memo) must
+// every ITC'02 benchmark SOC, a generated 1000-module wide-shallow SOC,
+// and every ExpansionPolicy ablation, the fast path (WrapperTimeCalculator
+// tables + PackEngine memo with seeded depth profiles) must
 // produce a Solution byte-identical to the from-scratch seed pipeline
 // (reference table build, no memoization). Solutions are compared via
 // their full deterministic JSON rendering, so sites, channels, cycles,
@@ -8,11 +9,13 @@
 // participate in the equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "arch/channel_group.hpp"
 #include "core/optimizer.hpp"
 #include "report/solution_json.hpp"
+#include "soc/generator.hpp"
 #include "soc/profiles.hpp"
 
 namespace mst {
@@ -31,15 +34,39 @@ const char* policy_name(ExpansionPolicy policy)
     return "?";
 }
 
+/// The ITC'02 benchmark SOCs by name, plus one generated 1000-module
+/// wide-shallow SOC.
+Soc soc_named(const std::string& name)
+{
+    if (name == "gen100x-wide") {
+        return generate_soc(scaled_benchmark_config(name, 1000, ScaledShape::wide_shallow));
+    }
+    return make_benchmark_soc(name);
+}
+
+/// The paper's cell (512 channels x 7M vectors) for the ITC'02 SOCs. The
+/// generated SOC fits width 1 at every virtual depth of that cell, so it
+/// runs on 1024 x 256K instead: there minimal widths move between depths
+/// and each depth profile seeded from a deeper one does real work.
+TestCell cell_for(const std::string& name)
+{
+    TestCell cell;
+    if (name == "gen100x-wide") {
+        cell.ate.channels = 1024;
+        cell.ate.vector_memory_depth = 256 * kibi;
+    }
+    return cell;
+}
+
 class GoldenFingerprint : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(GoldenFingerprint, MemoizedPipelineMatchesFromScratchRun)
 {
-    const Soc soc = make_benchmark_soc(GetParam());
+    const Soc soc = soc_named(GetParam());
     const SocTimeTables fast_tables(soc, TableBuild::fast);
     const SocTimeTables reference_tables(soc, TableBuild::reference);
 
-    TestCell cell; // 512 channels x 7M vectors, the paper's cell
+    const TestCell cell = cell_for(GetParam());
 
     for (const ExpansionPolicy policy :
          {ExpansionPolicy::widen_by_kmin, ExpansionPolicy::min_widening,
@@ -68,10 +95,13 @@ TEST_P(GoldenFingerprint, MemoizedPipelineMatchesFromScratchRun)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Itc02Socs, GoldenFingerprint,
-                         ::testing::Values("d695", "p22810", "p34392", "p93791"),
+INSTANTIATE_TEST_SUITE_P(BenchmarkSocs, GoldenFingerprint,
+                         ::testing::Values("d695", "p22810", "p34392", "p93791",
+                                           "gen100x-wide"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
-                             return std::string(info.param);
+                             std::string name = info.param;
+                             std::replace(name.begin(), name.end(), '-', '_');
+                             return name;
                          });
 
 } // namespace

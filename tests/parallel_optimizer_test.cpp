@@ -1,18 +1,20 @@
-// Thread-count determinism of the intra-scenario parallel optimizer:
-// OptimizeOptions::threads only changes how fast the fixed task schedule
-// drains, never what it computes. For every ITC'02 SOC and every
-// expansion policy, the full solution JSON — operating point, TAM plan,
-// E-RPCT wrapper, the whole site curve — must be byte-identical at 1, 2,
-// and 8 threads, and the work counters (pack calls, cache hits, greedy
-// passes, profiles, prunes) must match too, because the schedule itself
-// is thread-count independent.
+// Thread-count determinism of the optimizer: OptimizeOptions::threads
+// caps the table build and site-curve fan-outs, and never changes what
+// the sequential packing scans compute. For every ITC'02 SOC, a
+// generated 1000-module wide-shallow SOC, and every expansion policy,
+// the full solution JSON — operating point, TAM plan, E-RPCT wrapper,
+// the whole site curve — must be byte-identical at 1, 2, and 8 threads,
+// and the work counters (pack calls, cache hits, greedy passes,
+// profiles, prunes) must match too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "arch/channel_group.hpp"
 #include "core/optimizer.hpp"
 #include "report/solution_json.hpp"
+#include "soc/generator.hpp"
 #include "soc/profiles.hpp"
 
 namespace mst {
@@ -31,13 +33,37 @@ const char* policy_name(ExpansionPolicy policy)
     return "?";
 }
 
+/// The ITC'02 benchmark SOCs by name, plus one generated 1000-module
+/// wide-shallow SOC.
+Soc soc_named(const std::string& name)
+{
+    if (name == "gen100x-wide") {
+        return generate_soc(scaled_benchmark_config(name, 1000, ScaledShape::wide_shallow));
+    }
+    return make_benchmark_soc(name);
+}
+
+/// The paper's cell (512 channels x 7M vectors) for the ITC'02 SOCs. The
+/// generated SOC fits width 1 at every virtual depth of that cell, so it
+/// runs on 1024 x 256K instead: there minimal widths move between depths
+/// and each depth profile seeded from a deeper one does real work.
+TestCell cell_for(const std::string& name)
+{
+    TestCell cell;
+    if (name == "gen100x-wide") {
+        cell.ate.channels = 1024;
+        cell.ate.vector_memory_depth = 256 * kibi;
+    }
+    return cell;
+}
+
 class ParallelOptimizer : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ParallelOptimizer, SolutionJsonIsByteIdenticalAtAnyThreadCount)
 {
-    const Soc soc = make_benchmark_soc(GetParam());
+    const Soc soc = soc_named(GetParam());
     const SocTimeTables tables(soc);
-    TestCell cell; // 512 channels x 7M vectors, the paper's cell
+    const TestCell cell = cell_for(GetParam());
 
     for (const ExpansionPolicy policy :
          {ExpansionPolicy::widen_by_kmin, ExpansionPolicy::min_widening,
@@ -56,8 +82,7 @@ TEST_P(ParallelOptimizer, SolutionJsonIsByteIdenticalAtAnyThreadCount)
                 << GetParam() << " under " << policy_name(policy) << " at " << threads
                 << " threads";
 
-            // The schedule — not just the answer — is thread-count
-            // independent, so the counters must agree as well.
+            // The scans are sequential, so the counters agree as well.
             EXPECT_EQ(parallel.stats.packing.pack_calls, serial.stats.packing.pack_calls);
             EXPECT_EQ(parallel.stats.packing.pack_cache_hits,
                       serial.stats.packing.pack_cache_hits);
@@ -99,10 +124,13 @@ TEST(ParallelOptimizer, ThreadsKnobIsSurfacedInStats)
     EXPECT_GE(optimize_multi_site(tables, cell, options).stats.threads, 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Itc02Socs, ParallelOptimizer,
-                         ::testing::Values("d695", "p22810", "p34392", "p93791"),
+INSTANTIATE_TEST_SUITE_P(BenchmarkSocs, ParallelOptimizer,
+                         ::testing::Values("d695", "p22810", "p34392", "p93791",
+                                           "gen100x-wide"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
-                             return std::string(info.param);
+                             std::string name = info.param;
+                             std::replace(name.begin(), name.end(), '-', '_');
+                             return name;
                          });
 
 } // namespace

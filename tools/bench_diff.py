@@ -18,6 +18,11 @@ Usage: tools/bench_diff.py BASELINE.json NEW.json [options]
                        markdown table (p50s and speedup = base/new),
                        ready to paste into a PR description; exit-code
                        semantics are identical to the plain output
+  --stats              also compare each scenario's optimizer_stats
+                       counters exactly, every key except "threads"; a
+                       drift fails like a fingerprint mismatch (exit 2).
+                       For two runs of one build at different thread
+                       counts, whose work counters must agree
 
 Scenarios are matched by name; the comparison covers the intersection,
 so a --quick run can be diffed against the committed full-suite
@@ -26,7 +31,8 @@ not compared. A scenario present in BOTH reports that was ok in the
 baseline but failed in the new run is a hard failure (exit 2): a
 crash regression must not slip through as "not compared". Exit codes:
 0 clean, 1 timing regression beyond the threshold, 2 fingerprint
-mismatch, ok->failing regression, or malformed input. A code-2 failure
+mismatch, optimizer_stats drift (--stats), ok->failing regression, or
+malformed input. A code-2 failure
 always wins over a timing exit code: a fast wrong answer is the worst
 outcome a perf PR can ship. Stdlib-only on purpose.
 """
@@ -61,6 +67,14 @@ def exact_blocks_match(old_case, new_case):
     if old_exact is None:
         return True
     return all(old_exact.get(key) == new_exact.get(key) for key in EXACT_KEYS)
+
+
+def stats_match(old_case, new_case):
+    """True when the optimizer_stats counters agree, every key but threads."""
+    old_stats = old_case.get("optimizer_stats") or {}
+    new_stats = new_case.get("optimizer_stats") or {}
+    keys = (set(old_stats) | set(new_stats)) - {"threads"}
+    return all(old_stats.get(key) == new_stats.get(key) for key in keys)
 
 
 def fingerprints_match(old_fp, new_fp):
@@ -122,6 +136,7 @@ def main():
     parser.add_argument("--threshold", type=float, default=1.25)
     parser.add_argument("--advisory-timings", action="store_true")
     parser.add_argument("--markdown", action="store_true")
+    parser.add_argument("--stats", action="store_true")
     args = parser.parse_args()
     if args.threshold <= 0:
         fail("--threshold must be positive")
@@ -134,6 +149,7 @@ def main():
 
     broken = []  # ok in the baseline, failing in the new report
     mismatches = []
+    drifts = []  # optimizer_stats differ (--stats)
     regressions = []
     compared = 0
     width = max(len(name) for name in shared)
@@ -169,6 +185,10 @@ def main():
         fp_ok = fingerprints_match(old_fp, new_fp) and exact_blocks_match(old_case, new_case)
         if not fp_ok:
             mismatches.append(name)
+        stats_ok = not args.stats or stats_match(old_case, new_case)
+        if not stats_ok:
+            drifts.append(name)
+        verdict = "ok" if fp_ok and stats_ok else ("MISMATCH" if not fp_ok else "STATS DRIFT")
         old_p50 = scenario_field(args.baseline, name, old_case, "wall_seconds", "p50_s")
         new_p50 = scenario_field(args.new, name, new_case, "wall_seconds", "p50_s")
         ratio = new_p50 / old_p50 if old_p50 > 0 else float("inf")
@@ -190,7 +210,8 @@ def main():
                 p99_cells = (f"{old_p99 * 1e3:.3f} ms | {new_p99 * 1e3:.3f} ms | "
                              f"{p99_ratio:.2f}x")
             print(f"| {name} | {old_p50 * 1e3:.3f} ms | {new_p50 * 1e3:.3f} ms | "
-                  f"{speedup:.2f}x | {p99_cells} | {'ok' if fp_ok else '**MISMATCH**'} |")
+                  f"{speedup:.2f}x | {p99_cells} | "
+                  f"{verdict if verdict == 'ok' else f'**{verdict}**'} |")
         else:
             if p99_ratio is None:
                 p99_cells = f"{'—':>10}  {'—':>10}  {'—':>7}"
@@ -198,7 +219,7 @@ def main():
                 p99_cells = (f"{old_p99 * 1e3:9.3f}ms  {new_p99 * 1e3:9.3f}ms  "
                              f"{p99_ratio:6.2f}x")
             print(f"{name:{width}}  {old_p50 * 1e3:9.3f}ms  {new_p50 * 1e3:9.3f}ms  "
-                  f"{ratio:6.2f}x  {p99_cells}  {'ok' if fp_ok else 'MISMATCH'}")
+                  f"{ratio:6.2f}x  {p99_cells}  {verdict}")
 
     only_old = sorted(set(baseline) - set(new))
     only_new = sorted(set(new) - set(baseline))
@@ -215,6 +236,10 @@ def main():
         print(f"FAIL: fingerprint mismatch in {len(mismatches)} scenario(s): "
               f"{', '.join(mismatches[:5])}", file=sys.stderr)
         sys.exit(2)
+    if drifts:
+        print(f"FAIL: optimizer_stats drift in {len(drifts)} scenario(s): "
+              f"{', '.join(drifts[:5])}", file=sys.stderr)
+        sys.exit(2)
     if regressions:
         worst = max(regressions, key=lambda r: r[2])
         message = (f"{len(regressions)} timing regression(s) beyond {args.threshold}x "
@@ -224,7 +249,8 @@ def main():
         else:
             print(f"FAIL: {message}", file=sys.stderr)
             sys.exit(1)
-    print(f"OK: {compared} scenario(s) compared, fingerprints identical")
+    stats_note = ", optimizer_stats identical" if args.stats else ""
+    print(f"OK: {compared} scenario(s) compared, fingerprints identical{stats_note}")
 
 
 if __name__ == "__main__":
