@@ -79,8 +79,8 @@ void print_figure6(const Soc& soc)
               << "%, paper: +18%)\n";
     std::cout << "  measured winner at equal cost: "
               << (with_memory >= with_channels ? "memory depth (paper agrees)"
-                                               : "channels (paper found memory; see EXPERIMENTS.md "
-                                                 "on the k(D) staircase of the synthetic PNX8550)")
+                                               : "channels (paper found memory: Figure 6 and "
+                                                 "Section 7 of arXiv 0710.4687, see PAPERS.md)")
               << "\n\n";
 }
 

@@ -7,8 +7,8 @@
 // where LB is the theoretical channel lower bound of [7], "[7]" is our
 // implementation of the rectangle bin-packing baseline, and "Us" is
 // Step 1 (stimuli broadcast assumed, as in the paper's comparison).
-// The paper's own Table 1 lists the published values; EXPERIMENTS.md
-// maps ours against them.
+// The published values are in the paper's own Table 1 (arXiv 0710.4687,
+// linked from PAPERS.md).
 #include <benchmark/benchmark.h>
 
 #include <iostream>

@@ -39,6 +39,7 @@
 #include "perf/bench_suite.hpp"
 #include "common/net.hpp"
 #include "common/signals.hpp"
+#include "common/supervisor.hpp"
 #include "report/gantt.hpp"
 #include "report/solution_json.hpp"
 #include "report/table.hpp"
@@ -536,17 +537,8 @@ int cmd_serve(const Flags& flags)
     const std::string port_file = flag_or(flags, "port-file", "");
     if (!port_file.empty()) {
         // Written after bind so a port-0 request records the kernel pick;
-        // scripts can poll for this file instead of parsing stderr. The
-        // temp-then-rename dance makes the appearance atomic: a polling
-        // reader sees either no file or the complete endpoint, never a
-        // partial write.
-        const std::string tmp = port_file + ".tmp";
-        std::ofstream out(tmp);
-        out << bound.to_string() << '\n';
-        out.flush();
-        out.close();
-        if (!out || std::rename(tmp.c_str(), port_file.c_str()) != 0) {
-            std::remove(tmp.c_str());
+        // scripts can poll for this file instead of parsing stderr.
+        if (!supervisor::write_file_atomic(port_file, bound.to_string() + '\n')) {
             server.stop();
             throw ValidationError("cannot write '" + port_file + "'");
         }

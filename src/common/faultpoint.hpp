@@ -77,9 +77,9 @@ void install_plan(Plan plan);
 /// Disarm and forget the plan and all counters (tests).
 void clear_plan();
 
-/// The process attempt number used by `*R` gating. The sweep supervisor
-/// sets this in a respawned worker (fork child) to its restart count, so
-/// "fail on attempt 0 only" rules stop firing after a restart. Defaults
+/// The process attempt number used by `*R` gating. supervisor::spawn
+/// sets this in every forked worker to its restart count, so "fail on
+/// attempt 0 only" rules stop firing after a restart. Defaults
 /// to 0; MST_FAULT_ATTEMPT seeds it for exec'd processes.
 void set_attempt(int attempt) noexcept;
 [[nodiscard]] int attempt() noexcept;

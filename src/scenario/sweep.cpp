@@ -1,10 +1,8 @@
 #include "scenario/sweep.hpp"
 
-#include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -12,7 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <fstream>
+#include <filesystem>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -22,6 +20,7 @@
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
 #include "common/signals.hpp"
+#include "common/supervisor.hpp"
 #include "core/optimizer.hpp"
 #include "report/solution_json.hpp"
 #include "scenario/sweep_records.hpp"
@@ -48,24 +47,26 @@ std::vector<std::uint32_t> shard_indices(std::size_t scenario_count, int shard, 
     return indices;
 }
 
-/// A complete checkpoint is reusable only if every identity field
+/// The shard's checkpoint, if it is complete and every identity field
 /// matches the current run: same spec, same partition, same indices.
-bool checkpoint_matches(const ShardFile& file, int shard, int shards,
-                        std::uint64_t spec_fingerprint,
-                        const std::vector<std::uint32_t>& indices)
+std::optional<ShardFile> load_checkpoint(const std::string& out_dir, int shard, int shards,
+                                         std::uint64_t spec_fingerprint,
+                                         std::size_t scenario_count)
 {
-    if (!file.complete || file.shard != static_cast<std::uint32_t>(shard) ||
-        file.shard_count != static_cast<std::uint32_t>(shards) ||
-        file.spec_fingerprint != spec_fingerprint ||
-        file.records.size() != indices.size()) {
-        return false;
+    std::optional<ShardFile> file = read_shard_file(shard_path(out_dir, shard));
+    const std::vector<std::uint32_t> indices = shard_indices(scenario_count, shard, shards);
+    if (!file || !file->complete || file->shard != static_cast<std::uint32_t>(shard) ||
+        file->shard_count != static_cast<std::uint32_t>(shards) ||
+        file->spec_fingerprint != spec_fingerprint ||
+        file->records.size() != indices.size()) {
+        return std::nullopt;
     }
     for (std::size_t i = 0; i < indices.size(); ++i) {
-        if (file.records[i].index != indices[i]) {
-            return false;
+        if (file->records[i].index != indices[i]) {
+            return std::nullopt;
         }
     }
-    return true;
+    return file;
 }
 
 SweepRecord run_one(const Scenario& scenario, std::uint32_t index, int threads)
@@ -165,39 +166,44 @@ bool run_shard(const std::vector<Scenario>& scenarios, const std::string& out_di
     return true;
 }
 
-/// EINTR-correct waitpid: a stray signal must not make the supervisor
-/// misread a healthy worker as dead.
-pid_t waitpid_retry(pid_t pid, int* status, int flags)
+/// One shard's restart bookkeeping, shared by the inline and the
+/// forked execution paths.
+struct ShardRetry {
+    int consecutive = 0;
+    int total = 0;
+    int attempts = 0; ///< executions started
+    std::set<std::uint32_t> quarantined;
+};
+
+/// Count one failed attempt of a shard of `shard_size` scenarios whose
+/// scenario in flight was `in_flight`. After max_restarts consecutive
+/// failures that scenario is quarantined and the shard gets a fresh
+/// budget. Returns the backoff before the restart, or nullopt when the
+/// shard must give up instead: past the hard cap on total failures, or
+/// due a quarantine with no scenario in flight to blame.
+std::optional<std::chrono::milliseconds> absorb_failure(ShardRetry& retry,
+                                                        std::optional<std::uint32_t> in_flight,
+                                                        std::size_t shard_size,
+                                                        const SweepOptions& options,
+                                                        SweepOutcome& outcome)
 {
-    for (;;) {
-        const pid_t result = ::waitpid(pid, status, flags);
-        if (result >= 0 || errno != EINTR) {
-            return result;
+    ++retry.consecutive;
+    ++retry.total;
+    ++outcome.worker_failures;
+    if (retry.total > (options.max_restarts + 1) * static_cast<int>(shard_size + 1)) {
+        return std::nullopt;
+    }
+    if (retry.consecutive >= options.max_restarts) {
+        if (!in_flight) {
+            return std::nullopt;
         }
+        retry.quarantined.insert(*in_flight);
+        outcome.quarantined.push_back(*in_flight);
+        retry.consecutive = 0;
     }
-}
-
-std::uint64_t file_size_of(const std::string& path)
-{
-    struct stat st{};
-    if (::stat(path.c_str(), &st) != 0) {
-        return 0;
-    }
-    return static_cast<std::uint64_t>(st.st_size);
-}
-
-/// Restart backoff for retry `retries`: capped exponential, derived
-/// from the retry count only (deterministic schedule; only the real
-/// elapsed time varies).
-std::chrono::milliseconds backoff_delay(const SweepOptions& options, int retries)
-{
-    if (options.backoff_base_ms <= 0) {
-        return std::chrono::milliseconds(0);
-    }
-    const int shift = std::min(retries, 20);
-    const long long raw = static_cast<long long>(options.backoff_base_ms) << shift;
-    const long long cap = std::max<long long>(options.backoff_cap_ms, options.backoff_base_ms);
-    return std::chrono::milliseconds(std::min(raw, cap));
+    ++outcome.restarts;
+    return supervisor::capped_backoff(options.backoff_base_ms, options.backoff_cap_ms,
+                                      retry.total - 1);
 }
 
 std::string fixed_number(double value)
@@ -250,13 +256,8 @@ void write_report(const std::string& path, const std::string& sweep_name,
     if (const std::errc fault = MST_FAULTPOINT("sweep.report_write"); fault != std::errc{}) {
         throw ValidationError("sweep report write failed (injected fault): " + path);
     }
-    std::ofstream file(path, std::ios::binary | std::ios::trunc);
-    if (!file) {
+    if (!supervisor::write_file_atomic(path, out.str())) {
         throw ValidationError("cannot write sweep report: " + path);
-    }
-    file << out.str();
-    if (!file.flush()) {
-        throw ValidationError("sweep report write failed: " + path);
     }
 }
 
@@ -312,23 +313,21 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
     outcome.scenario_count = scenarios.size();
     outcome.report_path = options.out_dir + "/report.json";
 
+    const auto checkpoint = [&](int shard) {
+        return load_checkpoint(options.out_dir, shard, shards, spec_fingerprint, scenarios.size());
+    };
+
     // Phase 1: classify shards as complete checkpoints or pending work.
     std::vector<int> pending;
     std::vector<bool> resumed(static_cast<std::size_t>(shards), false);
     for (int shard = 0; shard < shards; ++shard) {
-        const std::vector<std::uint32_t> indices =
-            shard_indices(scenarios.size(), shard, shards);
-        const std::string path = shard_path(options.out_dir, shard);
-        const std::optional<ShardFile> existing = read_shard_file(path);
-        if (existing && checkpoint_matches(*existing, shard, shards, spec_fingerprint, indices)) {
+        if (const std::optional<ShardFile> done = checkpoint(shard)) {
             resumed[static_cast<std::size_t>(shard)] = true;
-            outcome.resumed += indices.size();
+            outcome.resumed += done->records.size();
             continue;
         }
-        if (existing) {
-            // Partial or foreign checkpoint: recompute from scratch.
-            std::remove(path.c_str());
-        }
+        // Partial or foreign checkpoint: recompute from scratch.
+        std::remove(shard_path(options.out_dir, shard).c_str());
         pending.push_back(shard);
     }
 
@@ -338,94 +337,49 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
     // inherits: Executor::global() hands it a fresh one.
     const int workers = std::min<int>(options.workers, static_cast<int>(pending.size()));
     if (workers > 1) {
-        struct ShardState {
-            int consecutive_failures = 0;
-            int total_failures = 0;
-            int attempts = 0; ///< worker executions started for this shard
-            std::set<std::uint32_t> quarantined;
-            std::chrono::steady_clock::time_point not_before{};
-        };
         struct Running {
             int shard = 0;
-            pid_t pid = -1;
-            std::uint64_t last_size = 0;
-            std::chrono::steady_clock::time_point last_progress{};
+            supervisor::Child child;
         };
-        std::vector<ShardState> state(static_cast<std::size_t>(shards));
+        std::vector<ShardRetry> retries(static_cast<std::size_t>(shards));
+        std::vector<supervisor::Clock::time_point> not_before(static_cast<std::size_t>(shards));
         std::deque<int> queue(pending.begin(), pending.end());
         std::vector<Running> running;
+        // The watchdog's progress value: the shard file's size.
+        const auto progress_of = [&](int shard) -> std::uint64_t {
+            std::error_code missing;
+            return std::filesystem::file_size(shard_path(options.out_dir, shard), missing);
+        };
 
-        // A worker for `shard` failed (death, hang, spawn failure):
-        // count it, quarantine the scenario in flight after max_restarts
-        // consecutive failures, and requeue the shard behind a capped
-        // exponential backoff derived from the retry count.
+        // A worker for `shard` failed (death, hang, spawn failure): the
+        // heartbeat trail in its checkpoint names the scenario in flight.
+        // Requeue the shard behind the backoff, or give up on the sweep.
         auto handle_failure = [&](int shard, const char* what) {
-            ShardState& st = state[static_cast<std::size_t>(shard)];
-            ++st.consecutive_failures;
-            ++st.total_failures;
-            ++outcome.worker_failures;
-            const std::size_t shard_size =
-                shard_indices(scenarios.size(), shard, shards).size();
-            if (st.total_failures >
-                (options.max_restarts + 1) * static_cast<int>(shard_size + 1)) {
+            ShardRetry& retry = retries[static_cast<std::size_t>(shard)];
+            const std::optional<ShardFile> partial =
+                read_shard_file(shard_path(options.out_dir, shard));
+            const std::optional<std::chrono::milliseconds> delay = absorb_failure(
+                retry, partial ? partial->poison_index() : std::nullopt,
+                shard_indices(scenarios.size(), shard, shards).size(), options, outcome);
+            if (!delay) {
                 throw ValidationError("sweep shard " + std::to_string(shard) +
                                       " keeps failing (" + what + "); giving up");
             }
-            if (st.consecutive_failures >= options.max_restarts) {
-                const std::optional<ShardFile> partial =
-                    read_shard_file(shard_path(options.out_dir, shard));
-                const std::optional<std::uint32_t> poison =
-                    partial ? partial->poison_index() : std::nullopt;
-                if (!poison) {
-                    throw ValidationError("sweep shard " + std::to_string(shard) +
-                                          " failed " + std::to_string(options.max_restarts) +
-                                          " times with no scenario in flight (" + what + ")");
-                }
-                st.quarantined.insert(*poison);
-                outcome.quarantined.push_back(*poison);
-                st.consecutive_failures = 0;
-            }
-            st.not_before = std::chrono::steady_clock::now() +
-                            backoff_delay(options, st.total_failures - 1);
-            ++outcome.restarts;
+            not_before[static_cast<std::size_t>(shard)] = supervisor::Clock::now() + *delay;
             queue.push_back(shard);
         };
 
         while (!queue.empty() || !running.empty()) {
             if (ShutdownLatch::global().requested()) {
-                // Signal-path hardening: forward the shutdown request to
-                // every live worker, reap them EINTR-correctly within a
-                // drain grace, and SIGKILL stragglers — reported via
-                // drain_killed so the CLI can exit nonzero. Checkpoints
-                // written so far stay on disk for a later resume.
+                // Forward the shutdown to every live worker and reap it;
+                // stragglers past the drain grace are SIGKILLed and
+                // reported via drain_killed so the CLI can exit nonzero.
+                // Checkpoints written so far stay on disk for a resume.
+                std::vector<pid_t> pids;
                 for (const Running& slot : running) {
-                    (void)::kill(slot.pid, SIGTERM);
+                    pids.push_back(slot.child.pid);
                 }
-                const auto deadline =
-                    std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(std::max(options.drain_timeout_ms, 0));
-                while (!running.empty() && std::chrono::steady_clock::now() < deadline) {
-                    for (std::size_t i = 0; i < running.size();) {
-                        int status = 0;
-                        if (waitpid_retry(running[i].pid, &status, WNOHANG) ==
-                            running[i].pid) {
-                            running.erase(running.begin() +
-                                          static_cast<std::ptrdiff_t>(i));
-                        } else {
-                            ++i;
-                        }
-                    }
-                    if (!running.empty()) {
-                        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-                    }
-                }
-                for (const Running& slot : running) {
-                    (void)::kill(slot.pid, SIGKILL);
-                    int status = 0;
-                    (void)waitpid_retry(slot.pid, &status, 0);
-                    outcome.drain_killed = true;
-                }
-                running.clear();
+                outcome.drain_killed = supervisor::drain(std::move(pids), options.drain_timeout_ms);
                 outcome.interrupted = true;
                 outcome.executed = 0;
                 outcome.report_path.clear(); // no report was written
@@ -439,8 +393,8 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
                    !queue.empty()) {
                 const int shard = queue.front();
                 queue.pop_front();
-                ShardState& st = state[static_cast<std::size_t>(shard)];
-                if (st.not_before > std::chrono::steady_clock::now()) {
+                ShardRetry& retry = retries[static_cast<std::size_t>(shard)];
+                if (not_before[static_cast<std::size_t>(shard)] > supervisor::Clock::now()) {
                     queue.push_back(shard);
                     continue;
                 }
@@ -448,90 +402,53 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
                     handle_failure(shard, "injected spawn fault");
                     continue;
                 }
-                const pid_t pid = ::fork();
+                // The child runs exactly one shard. Its heartbeats carry
+                // the attempt number; a SIGTERM kills it outright, since
+                // a shard cut short is recomputed on resume anyway.
+                const pid_t pid = supervisor::spawn(
+                    retry.attempts,
+                    [&] {
+                        std::size_t written = 0;
+                        run_shard(scenarios, options.out_dir, shard, shards, spec_fingerprint,
+                                  options.threads, static_cast<std::uint32_t>(retry.attempts),
+                                  retry.quarantined, 0, written);
+                        return 0;
+                    },
+                    supervisor::ChildSignals::reset);
                 if (pid < 0) {
                     handle_failure(shard, "fork failed");
                     continue;
                 }
-                if (pid == 0) {
-                    // Child: run exactly one shard and _exit (never
-                    // flush the parent's inherited stdio buffers). The
-                    // attempt number feeds heartbeats and the fault
-                    // layer's *R gating, so injected crash rules stop
-                    // firing on the restarted attempt.
-                    fault::set_attempt(st.attempts);
-                    int status_code = 0;
-                    try {
-                        std::size_t written = 0;
-                        run_shard(scenarios, options.out_dir, shard, shards, spec_fingerprint,
-                                  options.threads, static_cast<std::uint32_t>(st.attempts),
-                                  st.quarantined, 0, written);
-                    } catch (const std::exception& error) {
-                        std::fprintf(stderr, "sweep worker (shard %d): %s\n", shard,
-                                     error.what());
-                        status_code = 1;
-                    } catch (...) {
-                        status_code = 1;
-                    }
-                    ::_exit(status_code);
-                }
-                ++st.attempts;
-                Running slot;
-                slot.shard = shard;
-                slot.pid = pid;
-                slot.last_size = file_size_of(shard_path(options.out_dir, shard));
-                slot.last_progress = std::chrono::steady_clock::now();
-                running.push_back(slot);
+                ++retry.attempts;
+                running.push_back({shard, {pid, progress_of(shard), supervisor::Clock::now()}});
                 progressed = true;
             }
 
-            // Reap finished workers; watchdog the rest. Progress is
-            // "the shard file grew" — every scenario writes at least a
+            // Reap finished workers; watchdog the rest. Progress is the
+            // shard file's size — every scenario writes at least a
             // heartbeat first, so a wedged optimize call stops the
             // growth and gets its worker SIGKILLed.
             for (std::size_t i = 0; i < running.size();) {
                 Running& slot = running[i];
                 int status = 0;
-                const pid_t reaped = waitpid_retry(slot.pid, &status, WNOHANG);
-                if (reaped == 0) {
-                    const std::uint64_t size =
-                        file_size_of(shard_path(options.out_dir, slot.shard));
-                    if (size > slot.last_size) {
-                        slot.last_size = size;
-                        slot.last_progress = std::chrono::steady_clock::now();
-                    } else if (options.hang_timeout_ms > 0 &&
-                               std::chrono::steady_clock::now() - slot.last_progress >
-                                   std::chrono::milliseconds(options.hang_timeout_ms)) {
-                        ::kill(slot.pid, SIGKILL);
-                        waitpid_retry(slot.pid, &status, 0);
-                        const int shard = slot.shard;
-                        running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-                        handle_failure(shard, "hung worker killed by watchdog");
-                        progressed = true;
-                        continue;
-                    }
+                const supervisor::ChildState state = supervisor::check(
+                    slot.child, progress_of(slot.shard), options.hang_timeout_ms, &status);
+                if (state == supervisor::ChildState::running) {
                     ++i;
                     continue;
                 }
                 const int shard = slot.shard;
-                const pid_t pid = slot.pid;
                 running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
                 progressed = true;
-                if (reaped == pid && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-                    // Exit 0 still only counts if the checkpoint it left
-                    // behind validates end to end.
-                    const std::optional<ShardFile> file =
-                        read_shard_file(shard_path(options.out_dir, shard));
-                    if (file &&
-                        checkpoint_matches(*file, shard, shards, spec_fingerprint,
-                                           shard_indices(scenarios.size(), shard, shards))) {
-                        state[static_cast<std::size_t>(shard)].consecutive_failures = 0;
-                        continue;
-                    }
+                if (state == supervisor::ChildState::hung) {
+                    handle_failure(shard, "hung worker killed by watchdog");
+                } else if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+                    handle_failure(shard, "worker died");
+                } else if (!checkpoint(shard)) {
+                    // Exit 0 only counts if the checkpoint it left behind
+                    // validates end to end.
                     handle_failure(shard, "worker left an invalid checkpoint");
-                    continue;
                 }
-                handle_failure(shard, "worker died");
             }
             if (!progressed) {
                 std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -543,21 +460,18 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
         // own exceptions into typed error records).
         std::size_t written = 0;
         for (const int shard : pending) {
-            int consecutive = 0;
-            int total = 0;
-            int attempts = 0;
-            std::set<std::uint32_t> quarantined;
+            ShardRetry retry;
             const std::size_t shard_size =
                 shard_indices(scenarios.size(), shard, shards).size();
             for (;;) {
                 std::optional<std::uint32_t> current;
+                const int attempt = retry.attempts++;
                 try {
-                    fault::set_attempt(attempts);
+                    fault::set_attempt(attempt);
                     const bool finished = run_shard(
                         scenarios, options.out_dir, shard, shards, spec_fingerprint,
-                        options.threads, static_cast<std::uint32_t>(attempts), quarantined,
+                        options.threads, static_cast<std::uint32_t>(attempt), retry.quarantined,
                         options.abort_after_records, written, &current);
-                    ++attempts;
                     if (!finished) {
                         fault::set_attempt(0);
                         outcome.aborted = true;
@@ -566,25 +480,13 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
                     }
                     break;
                 } catch (const Error&) {
-                    ++attempts;
-                    ++consecutive;
-                    ++total;
-                    ++outcome.worker_failures;
-                    if (total > (options.max_restarts + 1) * static_cast<int>(shard_size + 1)) {
+                    const std::optional<std::chrono::milliseconds> delay =
+                        absorb_failure(retry, current, shard_size, options, outcome);
+                    if (!delay) {
                         fault::set_attempt(0);
                         throw;
                     }
-                    if (consecutive >= options.max_restarts) {
-                        if (!current) {
-                            fault::set_attempt(0);
-                            throw;
-                        }
-                        quarantined.insert(*current);
-                        outcome.quarantined.push_back(*current);
-                        consecutive = 0;
-                    }
-                    ++outcome.restarts;
-                    std::this_thread::sleep_for(backoff_delay(options, total - 1));
+                    std::this_thread::sleep_for(*delay);
                 }
             }
         }
@@ -598,13 +500,10 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
     std::vector<SweepRecord> by_index(scenarios.size());
     std::vector<bool> seen(scenarios.size(), false);
     for (int shard = 0; shard < shards; ++shard) {
-        const std::string path = shard_path(options.out_dir, shard);
-        const std::optional<ShardFile> file = read_shard_file(path);
-        const std::vector<std::uint32_t> indices =
-            shard_indices(scenarios.size(), shard, shards);
-        if (!file || !checkpoint_matches(*file, shard, shards, spec_fingerprint, indices)) {
+        const std::optional<ShardFile> file = checkpoint(shard);
+        if (!file) {
             throw ValidationError("sweep shard file missing or invalid after execution: " +
-                                  path);
+                                  shard_path(options.out_dir, shard));
         }
         ShardTiming timing;
         timing.shard = shard;

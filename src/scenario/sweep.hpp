@@ -9,18 +9,14 @@
 // W > 1 workers a supervisor forks one worker process per pending
 // shard (at most W in flight) and watches each of them.
 //
-// Supervision (docs/robustness.md): every scenario execution is
-// preceded by a heartbeat record in the shard file, so the supervisor
-// always knows which scenario a dead worker was running. A worker that
-// exits abnormally, or whose shard file stops growing for longer than
-// the hang timeout (it is then SIGKILLed), is restarted with capped
-// exponential backoff derived from the retry count — never from wall
-// clock, so a fault-riddled run stays deterministic. After
-// `max_restarts` consecutive failures of one shard the scenario in
-// flight is quarantined: subsequent attempts record it as a typed
-// `worker_crash` error instead of executing it, so one poison scenario
-// cannot sink the run. Inline (workers == 1) execution gets the same
-// retry/quarantine treatment for checkpoint-write failures.
+// Supervision runs on common/supervisor (docs/robustness.md). Every
+// scenario is preceded by a heartbeat record in the shard file: the
+// file's growth is the watchdog's progress signal, and the trail names
+// the scenario a dead worker was running. After `max_restarts`
+// consecutive failures of one shard that scenario is quarantined as a
+// typed `worker_crash` record, so one poison scenario cannot sink the
+// run. Inline (workers == 1) runs apply the same rule to
+// checkpoint-write failures.
 //
 // Determinism contract: the merged report.json contains scenario
 // results only — name, solution fingerprint, optimizer work counters,

@@ -6,19 +6,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include <fcntl.h>
 #include <poll.h>
-#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/error.hpp"
-#include "common/faultpoint.hpp"
+#include "common/supervisor.hpp"
 #include "shm/segment.hpp"
 #include "shm/store.hpp"
 
@@ -26,19 +24,7 @@ namespace mst {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// EINTR-correct waitpid: a stray signal must not make the supervisor
-/// misread a healthy worker as dead.
-pid_t waitpid_retry(pid_t pid, int* status, int flags)
-{
-    for (;;) {
-        const pid_t result = ::waitpid(pid, status, flags);
-        if (result >= 0 || errno != EINTR) {
-            return result;
-        }
-    }
-}
+using supervisor::Clock;
 
 const char* state_name(shm::WorkerState state)
 {
@@ -89,108 +75,73 @@ void fill_pool_section(const shm::Segment& segment, protocol::ServerCounters& co
     }
 }
 
-bool write_port_file(const std::string& path, const net::Endpoint& bound)
-{
-    // Temp-then-rename so a polling reader sees either no file or the
-    // complete endpoint, never a partial write (same dance as cmd_serve).
-    const std::string tmp = path + ".tmp";
-    std::ofstream out(tmp);
-    out << bound.to_string() << '\n';
-    out.flush();
-    out.close();
-    if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        (void)std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
 /// Child side of one fork: a complete Server on the inherited listener
 /// fd, a heartbeat ticker pushing counters into the worker's slot, and
-/// a readiness byte once accepting. Never returns — _exit keeps the
-/// parent's inherited stdio buffers from being flushed twice.
-[[noreturn]] void worker_main(const PreforkOptions& options, std::size_t slot_index,
-                              int attempt, int listener_fd,
-                              const std::shared_ptr<shm::Segment>& segment, int ready_fd,
-                              ShutdownLatch& latch)
+/// a readiness byte once accepting. Returns the worker's exit status.
+int worker_main(const PreforkOptions& options, std::size_t slot_index, int listener_fd,
+                const std::shared_ptr<shm::Segment>& segment, int ready_fd,
+                ShutdownLatch& latch)
 {
-    // The attempt number feeds the fault layer's *R gating: injected
-    // crash rules stop firing in the respawned worker, so a chaos plan
-    // kills a worker once instead of forever.
-    fault::set_attempt(attempt);
-    latch.detach_after_fork();
-    int exit_code = 0;
-    {
-        std::unique_ptr<Server> server;
-        try {
-            ServerConfig config = options.server;
-            if (segment != nullptr) {
-                segment->claim_slot(slot_index, static_cast<std::uint32_t>(::getpid()));
-                config.service.shm = std::make_shared<shm::ShmStore>(segment);
-                std::shared_ptr<shm::Segment> pool_segment = segment;
-                config.pool_stats = [pool_segment](protocol::ServerCounters& counters) {
-                    fill_pool_section(*pool_segment, counters);
-                };
-            }
-            server = std::make_unique<Server>(config);
-        } catch (const std::exception& error) {
-            std::fprintf(stderr, "mst serve worker: %s\n", error.what());
-            exit_code = 1;
-        }
-
-        std::atomic<bool> stop_ticker{false};
-        std::thread ticker;
-        if (server != nullptr && segment != nullptr) {
-            Server* raw = server.get();
-            ticker = std::thread([&stop_ticker, raw, segment, slot_index] {
-                while (!stop_ticker.load(std::memory_order_acquire)) {
-                    shm::WorkerSlotView view;
-                    const protocol::RequestCounters requests =
-                        raw->service().request_counters();
-                    const protocol::ServerCounters counters = raw->counters();
-                    view.received = requests.received;
-                    view.ok = requests.ok;
-                    view.failed = requests.failed;
-                    view.connections_accepted = counters.connections_accepted;
-                    view.requests_admitted = counters.requests_admitted;
-                    view.requests_rejected = counters.requests_rejected;
-                    view.shm_hits = counters.shm.hits;
-                    view.shm_misses = counters.shm.misses;
-                    view.shm_publishes = counters.shm.publishes;
-                    view.shm_fallbacks = counters.shm.fallbacks;
-                    segment->update_slot(slot_index, view);
-                    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-                }
-            });
-        }
-
-        if (server != nullptr) {
-            try {
-                server->start(net::Listener::adopt(listener_fd));
-                if (segment != nullptr) {
-                    segment->set_slot_state(slot_index, shm::WorkerState::ready);
-                }
-                const char byte = 1;
-                (void)!::write(ready_fd, &byte, 1);
-                server->run(latch); // blocks until SIGTERM, then drains
-                if (segment != nullptr) {
-                    segment->set_slot_state(slot_index, shm::WorkerState::draining);
-                }
-            } catch (const std::exception& error) {
-                std::fprintf(stderr, "mst serve worker: %s\n", error.what());
-                exit_code = 1;
-            } catch (...) {
-                exit_code = 1;
-            }
-        }
-        // Join the ticker before the Server it reads is destroyed.
-        stop_ticker.store(true, std::memory_order_release);
-        if (ticker.joinable()) {
-            ticker.join();
-        }
-        server.reset();
+    ServerConfig config = options.server;
+    if (segment != nullptr) {
+        segment->claim_slot(slot_index, static_cast<std::uint32_t>(::getpid()));
+        config.service.shm = std::make_shared<shm::ShmStore>(segment);
+        std::shared_ptr<shm::Segment> pool_segment = segment;
+        config.pool_stats = [pool_segment](protocol::ServerCounters& counters) {
+            fill_pool_section(*pool_segment, counters);
+        };
     }
-    ::_exit(exit_code);
+    Server server(config); // a failure here escapes to spawn: exit status 1
+
+    // Declared after the Server, so it is joined before the Server it
+    // reads is destroyed.
+    std::atomic<bool> stop_ticker{false};
+    std::thread ticker;
+    if (segment != nullptr) {
+        ticker = std::thread([&stop_ticker, &server, segment, slot_index] {
+            while (!stop_ticker.load(std::memory_order_acquire)) {
+                shm::WorkerSlotView view;
+                const protocol::RequestCounters requests = server.service().request_counters();
+                const protocol::ServerCounters counters = server.counters();
+                view.received = requests.received;
+                view.ok = requests.ok;
+                view.failed = requests.failed;
+                view.connections_accepted = counters.connections_accepted;
+                view.requests_admitted = counters.requests_admitted;
+                view.requests_rejected = counters.requests_rejected;
+                view.shm_hits = counters.shm.hits;
+                view.shm_misses = counters.shm.misses;
+                view.shm_publishes = counters.shm.publishes;
+                view.shm_fallbacks = counters.shm.fallbacks;
+                segment->update_slot(slot_index, view);
+                std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            }
+        });
+    }
+
+    int exit_code = 0;
+    try {
+        server.start(net::Listener::adopt(listener_fd));
+        if (segment != nullptr) {
+            segment->set_slot_state(slot_index, shm::WorkerState::ready);
+        }
+        const char byte = 1;
+        (void)!::write(ready_fd, &byte, 1);
+        server.run(latch); // blocks until SIGTERM, then drains
+        if (segment != nullptr) {
+            segment->set_slot_state(slot_index, shm::WorkerState::draining);
+        }
+    } catch (const std::exception& error) {
+        std::fprintf(stderr, "mst serve worker: %s\n", error.what());
+        exit_code = 1;
+    } catch (...) {
+        exit_code = 1;
+    }
+    stop_ticker.store(true, std::memory_order_release);
+    if (ticker.joinable()) {
+        ticker.join();
+    }
+    return exit_code;
 }
 
 } // namespace
@@ -237,37 +188,31 @@ int run_prefork(const PreforkOptions& options, ShutdownLatch& latch)
     (void)::fcntl(ready_pipe[1], F_SETFL, O_NONBLOCK);
 
     struct Slot {
-        pid_t pid = -1;
+        supervisor::Child child;      ///< pid -1 while not running
         int attempts = 0;             ///< worker executions started
         int consecutive_failures = 0; ///< reset on a clean drain only
         bool quarantined = false;
         Clock::time_point not_before{}; ///< respawn backoff gate
-        std::uint64_t last_heartbeat = 0;
-        Clock::time_point last_beat_change{};
     };
     std::vector<Slot> slots(static_cast<std::size_t>(options.processes));
 
     auto spawn = [&](std::size_t index) -> bool {
         Slot& slot = slots[index];
-        const pid_t pid = ::fork();
+        const pid_t pid = supervisor::spawn(slot.attempts, [&] {
+            (void)::close(ready_pipe[0]);
+            return worker_main(options, index, listener.fd(), segment, ready_pipe[1], latch);
+        });
         if (pid < 0) {
             return false;
         }
-        if (pid == 0) {
-            (void)::close(ready_pipe[0]);
-            worker_main(options, index, slot.attempts, listener.fd(), segment,
-                        ready_pipe[1], latch);
-        }
-        slot.pid = pid;
+        slot.child = {pid, 0, Clock::now()};
         ++slot.attempts;
-        slot.last_heartbeat = 0;
-        slot.last_beat_change = Clock::now();
         return true;
     };
 
     auto handle_failure = [&](std::size_t index, const char* what) {
         Slot& slot = slots[index];
-        slot.pid = -1;
+        slot.child.pid = -1;
         ++slot.consecutive_failures;
         std::fprintf(stderr, "mst serve: worker %zu %s\n", index, what);
         if (slot.consecutive_failures > options.max_restarts) {
@@ -282,14 +227,10 @@ int run_prefork(const PreforkOptions& options, ShutdownLatch& latch)
                          index, slot.consecutive_failures);
             return;
         }
-        // Capped exponential backoff derived from the failure count, so
-        // the schedule is deterministic and a crash loop cannot spin.
-        const int shift = std::min(slot.consecutive_failures - 1, 20);
-        const long long raw = static_cast<long long>(std::max(options.backoff_ms, 1))
-                              << shift;
-        const long long cap =
-            std::max<long long>(options.backoff_cap_ms, options.backoff_ms);
-        slot.not_before = Clock::now() + std::chrono::milliseconds(std::min(raw, cap));
+        // A crash loop cannot spin: the respawn waits at least 1 ms.
+        slot.not_before = Clock::now() + supervisor::capped_backoff(
+                                             std::max(options.backoff_ms, 1),
+                                             options.backoff_cap_ms, slot.consecutive_failures - 1);
     };
 
     for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -298,7 +239,6 @@ int run_prefork(const PreforkOptions& options, ShutdownLatch& latch)
         }
     }
 
-    bool port_file_written = options.port_file.empty();
     bool announced = false;
     bool gave_up = false;
     std::size_t ready_bytes = 0;
@@ -319,31 +259,30 @@ int run_prefork(const PreforkOptions& options, ShutdownLatch& latch)
                 continue;
             }
             all_quarantined = false;
-            if (slot.pid >= 0) {
-                int status = 0;
-                const pid_t reaped = waitpid_retry(slot.pid, &status, WNOHANG);
-                if (reaped == slot.pid) {
-                    handle_failure(i, WIFSIGNALED(status) ? "died on a signal"
-                                                          : "exited unexpectedly");
-                    continue;
-                }
-                // Heartbeat watchdog: a worker whose slot stops ticking
-                // (wedged, not dead) is killed and treated as a death.
+            if (slot.child.pid >= 0) {
+                // Heartbeat watchdog, once the worker has claimed its
+                // slot: a slot that stops ticking means a wedged worker,
+                // killed and treated as a death.
+                std::uint64_t heartbeat = slot.child.progress;
+                int timeout_ms = 0;
                 if (segment != nullptr && options.heartbeat_timeout_ms > 0) {
                     const shm::WorkerSlotView view = segment->read_slot(i);
-                    if (view.pid == static_cast<std::uint32_t>(slot.pid)) {
-                        if (view.heartbeat != slot.last_heartbeat) {
-                            slot.last_heartbeat = view.heartbeat;
-                            slot.last_beat_change = Clock::now();
-                        } else if (Clock::now() - slot.last_beat_change >
-                                   std::chrono::milliseconds(
-                                       options.heartbeat_timeout_ms)) {
-                            (void)::kill(slot.pid, SIGKILL);
-                            (void)waitpid_retry(slot.pid, &status, 0);
-                            handle_failure(i, "heartbeat stalled; killed");
-                            continue;
-                        }
+                    if (view.pid == static_cast<std::uint32_t>(slot.child.pid)) {
+                        heartbeat = view.heartbeat;
+                        timeout_ms = options.heartbeat_timeout_ms;
                     }
+                }
+                int status = 0;
+                switch (supervisor::check(slot.child, heartbeat, timeout_ms, &status)) {
+                case supervisor::ChildState::running:
+                    break;
+                case supervisor::ChildState::exited:
+                    handle_failure(i, WIFSIGNALED(status) ? "died on a signal"
+                                                          : "exited unexpectedly");
+                    break;
+                case supervisor::ChildState::hung:
+                    handle_failure(i, "heartbeat stalled; killed");
+                    break;
                 }
             } else if (Clock::now() >= slot.not_before) {
                 if (segment != nullptr) {
@@ -361,7 +300,7 @@ int run_prefork(const PreforkOptions& options, ShutdownLatch& latch)
             break;
         }
 
-        if (!port_file_written || !announced) {
+        if (!announced) {
             // Gate the port file on full readiness: a polling client
             // never connects into a pool that cannot serve yet.
             std::size_t live = 0;
@@ -373,8 +312,8 @@ int run_prefork(const PreforkOptions& options, ShutdownLatch& latch)
                 ++live;
                 if (segment != nullptr) {
                     const shm::WorkerSlotView view = segment->read_slot(i);
-                    if (slots[i].pid >= 0 &&
-                        view.pid == static_cast<std::uint32_t>(slots[i].pid) &&
+                    if (slots[i].child.pid >= 0 &&
+                        view.pid == static_cast<std::uint32_t>(slots[i].child.pid) &&
                         view.state == shm::WorkerState::ready) {
                         ++ready;
                     }
@@ -384,22 +323,18 @@ int run_prefork(const PreforkOptions& options, ShutdownLatch& latch)
                 ready = std::min(ready_bytes, live);
             }
             if (live > 0 && ready >= live) {
-                if (!port_file_written) {
-                    if (!write_port_file(options.port_file, bound)) {
-                        std::fprintf(stderr, "mst serve: cannot write '%s'\n",
-                                     options.port_file.c_str());
-                        gave_up = true;
-                        break;
-                    }
-                    port_file_written = true;
+                if (!options.port_file.empty() &&
+                    !supervisor::write_file_atomic(options.port_file, bound.to_string() + '\n')) {
+                    std::fprintf(stderr, "mst serve: cannot write '%s'\n",
+                                 options.port_file.c_str());
+                    gave_up = true;
+                    break;
                 }
-                if (!announced) {
-                    std::fprintf(stderr,
-                                 "mst serve: %zu workers listening on %s (protocol v%d); "
-                                 "SIGTERM drains and exits\n",
-                                 live, bound.to_string().c_str(), protocol::version);
-                    announced = true;
-                }
+                std::fprintf(stderr,
+                             "mst serve: %zu workers listening on %s (protocol v%d); "
+                             "SIGTERM drains and exits\n",
+                             live, bound.to_string().c_str(), protocol::version);
+                announced = true;
             }
         }
 
@@ -413,41 +348,13 @@ int run_prefork(const PreforkOptions& options, ShutdownLatch& latch)
 
     // Shutdown fan-out: SIGTERM every live worker, reap with a drain
     // grace, SIGKILL stragglers — and say so via the exit code.
-    for (Slot& slot : slots) {
-        if (slot.pid >= 0) {
-            (void)::kill(slot.pid, SIGTERM);
+    std::vector<pid_t> live;
+    for (const Slot& slot : slots) {
+        if (slot.child.pid >= 0) {
+            live.push_back(slot.child.pid);
         }
     }
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(std::max(options.drain_timeout_ms, 0));
-    for (;;) {
-        bool any_live = false;
-        for (Slot& slot : slots) {
-            if (slot.pid < 0) {
-                continue;
-            }
-            int status = 0;
-            if (waitpid_retry(slot.pid, &status, WNOHANG) == slot.pid) {
-                slot.pid = -1;
-            } else {
-                any_live = true;
-            }
-        }
-        if (!any_live || Clock::now() >= deadline) {
-            break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    bool killed_in_drain = false;
-    for (Slot& slot : slots) {
-        if (slot.pid >= 0) {
-            (void)::kill(slot.pid, SIGKILL);
-            int status = 0;
-            (void)waitpid_retry(slot.pid, &status, 0);
-            slot.pid = -1;
-            killed_in_drain = true;
-        }
-    }
+    const bool killed_in_drain = supervisor::drain(std::move(live), options.drain_timeout_ms);
     if (killed_in_drain) {
         std::fprintf(stderr,
                      "mst serve: drain timeout expired; straggling workers SIGKILLed\n");

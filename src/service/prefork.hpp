@@ -4,19 +4,12 @@
 // without) the shared-memory segment, and forks N workers that each run
 // a full Server on a dup of the inherited listener fd — the kernel
 // balances accepts across them. The parent never serves requests; it
-// supervises:
-//
-//   * a worker death (crash, OOM kill, injected fault) is detected by
-//     waitpid and answered with a respawn on a capped exponential
-//     backoff schedule; after max_restarts consecutive failures the
-//     slot is quarantined (the pool keeps serving on the others),
-//   * workers heartbeat through their shared-memory slot; a worker
-//     whose heartbeat stalls is SIGKILLed and treated as a death,
-//   * the port file is written only after every worker reported ready,
-//     so a polling client never connects into an empty pool,
-//   * SIGTERM/SIGINT fan out to the workers, which drain in-flight
-//     requests and exit; stragglers past the drain timeout are
-//     SIGKILLed and the supervisor exits nonzero.
+// supervises on common/supervisor (docs/robustness.md): dead workers
+// are respawned behind a capped exponential backoff, a worker whose
+// shared-memory slot heartbeat stalls is SIGKILLed, a slot failing
+// more than max_restarts times in a row is quarantined, the port file
+// appears only once every worker is ready, and SIGTERM/SIGINT fan out
+// to the workers, which drain and exit.
 //
 // Crash tolerance of the cache tier (docs/shm.md) means a worker dying
 // mid-publish never corrupts the segment: the next writer truncates the

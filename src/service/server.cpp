@@ -11,6 +11,7 @@
 
 #include "common/executor.hpp"
 #include "common/faultpoint.hpp"
+#include "common/supervisor.hpp"
 #include "service/framing.hpp"
 
 namespace mst {
@@ -206,20 +207,16 @@ void Server::accept_loop()
             // consecutive-failure count so the schedule is deterministic.
             ++accept_retries_;
             (void)shed_oldest_idle();
-            if (config_.accept_backoff_ms > 0) {
-                const int shift = consecutive_exhausted < 20 ? consecutive_exhausted : 20;
-                const long long raw = static_cast<long long>(config_.accept_backoff_ms)
-                                      << shift;
-                const long long cap = std::max<long long>(config_.accept_backoff_cap_ms,
-                                                          config_.accept_backoff_ms);
-                long long remaining_ms = raw < cap ? raw : cap;
-                // Sliced, stop-aware sleep: shutdown must never wait out
-                // a long backoff.
-                while (remaining_ms > 0 && !stopping_.load()) {
-                    const long long slice = remaining_ms < 20 ? remaining_ms : 20;
-                    std::this_thread::sleep_for(std::chrono::milliseconds(slice));
-                    remaining_ms -= slice;
-                }
+            long long remaining_ms =
+                supervisor::capped_backoff(config_.accept_backoff_ms,
+                                           config_.accept_backoff_cap_ms, consecutive_exhausted)
+                    .count();
+            // Sliced, stop-aware sleep: shutdown must never wait out a
+            // long backoff.
+            while (remaining_ms > 0 && !stopping_.load()) {
+                const long long slice = remaining_ms < 20 ? remaining_ms : 20;
+                std::this_thread::sleep_for(std::chrono::milliseconds(slice));
+                remaining_ms -= slice;
             }
             ++consecutive_exhausted;
             continue;

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -329,28 +328,6 @@ TEST(Prefork, DrainAfterOneConnectionIsPromptAndClean)
         EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
             << "round " << round;
     }
-}
-
-TEST(Prefork, ForkedChildGetsItsOwnShutdownPipe)
-{
-    // A child's shutdown request must not leave the parent's (and so
-    // every sibling's) self-pipe readable.
-    ShutdownLatch& latch = ShutdownLatch::global();
-    latch.reset();
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        latch.detach_after_fork();
-        latch.request();
-        pollfd own{latch.poll_fd(), POLLIN, 0};
-        ::_exit(::poll(&own, 1, 0) == 1 ? 0 : 1);
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-    pollfd parent{latch.poll_fd(), POLLIN, 0};
-    EXPECT_EQ(::poll(&parent, 1, 0), 0);
-    EXPECT_FALSE(latch.requested());
 }
 
 TEST(Prefork, WorkerDeathIsRestartedAndTheReplayResumes)

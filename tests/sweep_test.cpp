@@ -5,10 +5,14 @@
 
 #include <unistd.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -16,6 +20,7 @@
 #include "common/signals.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "scenario/sweep.hpp"
+#include "scenario/sweep_records.hpp"
 
 namespace mst {
 namespace {
@@ -461,6 +466,54 @@ TEST(Sweep, ShutdownRequestInterruptsSupervisedRunAndResumeCompletes)
     EXPECT_EQ(resumed.executed + resumed.resumed, 8u);
     EXPECT_EQ(read_file(resumed.report_path),
               read_file(dir.path() + "/report.json"));
+}
+
+TEST(Sweep, ForwardedShutdownEndsWedgedWorkersWithoutSigkill)
+{
+    const TempDir dir;
+    const std::vector<Scenario> scenarios = small_scenarios();
+    SweepOptions options = options_for(dir.path(), 2, 1);
+    options.workers = 2;
+    options.backoff_base_ms = 0;
+    options.hang_timeout_ms = 0; // the drain, not the watchdog, must end them
+    options.drain_timeout_ms = 5000;
+    // Both workers wedge at their second scenario (global indices 2 and
+    // 3), so only a forwarded SIGTERM can end them before the grace.
+    const FaultPlanGuard plan("sweep.scenario:hang@2");
+
+    // The CLI's set-up: SIGTERM/SIGINT routed to the shutdown latch in
+    // the supervisor. Workers must not keep that handler, or the
+    // forwarded signal would only set a flag nobody in them reads.
+    ShutdownLatch& latch = ShutdownLatch::global();
+    latch.reset();
+    latch.install_handlers();
+    std::chrono::steady_clock::time_point requested_at{};
+    std::thread requester([&] {
+        const auto wedged = [&](int shard, std::uint32_t index) {
+            char name[32];
+            std::snprintf(name, sizeof name, "/shard-%04d.msr", shard);
+            const std::optional<ShardFile> file = read_shard_file(dir.path() + name);
+            return file && file->poison_index() == index;
+        };
+        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!(wedged(0, 2) && wedged(1, 3)) && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        requested_at = std::chrono::steady_clock::now();
+        latch.request();
+    });
+    const SweepOutcome outcome = run_sweep("sweep-test", scenarios, options);
+    const auto finished_at = std::chrono::steady_clock::now();
+    requester.join();
+    (void)std::signal(SIGTERM, SIG_DFL);
+    (void)std::signal(SIGINT, SIG_DFL);
+    latch.reset();
+
+    EXPECT_TRUE(outcome.interrupted);
+    EXPECT_FALSE(outcome.drain_killed);
+    EXPECT_LT(
+        std::chrono::duration_cast<std::chrono::milliseconds>(finished_at - requested_at).count(),
+        options.drain_timeout_ms / 5);
 }
 
 TEST(Sweep, RejectsUnusableOptions)
