@@ -26,6 +26,7 @@ FrameReader::FrameReader(std::size_t max_frame_bytes)
 void FrameReader::set_framing(Framing framing)
 {
     framing_ = framing;
+    scanned_ = 0;
     skipping_line_ = false;
     skip_remaining_ = 0;
 }
@@ -43,6 +44,13 @@ bool FrameReader::mid_frame() const noexcept
 void FrameReader::consume(std::size_t bytes)
 {
     buffer_.erase(0, bytes);
+    scanned_ = 0;
+}
+
+void FrameReader::clear()
+{
+    buffer_.clear();
+    scanned_ = 0;
 }
 
 FrameReader::Status FrameReader::next(std::string& frame)
@@ -65,11 +73,13 @@ FrameReader::Status FrameReader::next(std::string& frame)
 FrameReader::Status FrameReader::next_ndjson(std::string& frame)
 {
     for (;;) {
-        const std::size_t newline = buffer_.find('\n');
+        // Resume the search where the last one stopped: a long line
+        // arriving in many reads is scanned once, not once per read.
+        const std::size_t newline = buffer_.find('\n', scanned_);
         if (skipping_line_) {
             // Discarding the remainder of an oversized line.
             if (newline == std::string::npos) {
-                buffer_.clear();
+                clear();
                 return Status::need_more;
             }
             consume(newline + 1);
@@ -80,11 +90,12 @@ FrameReader::Status FrameReader::next_ndjson(std::string& frame)
             if (buffer_.size() > max_frame_bytes_) {
                 // Longer than any acceptable line and still no
                 // terminator: report now, discard until the next '\n'.
-                buffer_.clear();
+                clear();
                 skipping_line_ = true;
                 frame = "line exceeds " + std::to_string(max_frame_bytes_) + " bytes";
                 return Status::oversized;
             }
+            scanned_ = buffer_.size();
             return Status::need_more;
         }
         if (newline > max_frame_bytes_) {
@@ -92,15 +103,22 @@ FrameReader::Status FrameReader::next_ndjson(std::string& frame)
             frame = "line exceeds " + std::to_string(max_frame_bytes_) + " bytes";
             return Status::oversized;
         }
-        std::string line = buffer_.substr(0, newline);
-        consume(newline + 1);
-        if (!line.empty() && line.back() == '\r') {
-            line.pop_back();
+        if (newline + 1 == buffer_.size()) {
+            // The line fills the buffer: hand the buffer itself out, and
+            // keep the caller's old storage for the next bytes.
+            buffer_.pop_back();
+            frame.swap(buffer_);
+            clear();
+        } else {
+            frame.assign(buffer_, 0, newline);
+            consume(newline + 1);
         }
-        if (is_blank(line)) {
+        if (!frame.empty() && frame.back() == '\r') {
+            frame.pop_back();
+        }
+        if (is_blank(frame)) {
             continue; // blank lines are not requests (stdio serve parity)
         }
-        frame = std::move(line);
         return Status::frame;
     }
 }

@@ -58,10 +58,12 @@ private:
     [[nodiscard]] Status next_ndjson(std::string& frame);
     [[nodiscard]] Status next_length_prefix(std::string& frame);
     void consume(std::size_t bytes);
+    void clear();
 
     Framing framing_ = Framing::ndjson;
     std::size_t max_frame_bytes_;
     std::string buffer_;
+    std::size_t scanned_ = 0;        ///< ndjson: buffer_ prefix known to hold no '\n'
     std::size_t skip_remaining_ = 0; ///< length_prefix: payload bytes left to discard
     bool skipping_line_ = false;     ///< ndjson: discarding until the next '\n'
 };

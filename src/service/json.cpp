@@ -5,6 +5,10 @@
 #include <cstdlib>
 #include <limits>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace mst {
 
 namespace {
@@ -39,6 +43,39 @@ void append_utf8(std::string& out, unsigned long code_point)
         out.push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
         out.push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
     }
+}
+
+/// The end of the run of plain string bytes starting at `pos`: the
+/// offset of the first '"', '\\' or byte below 0x20, or `size`.
+std::size_t plain_run_end(const char* data, std::size_t pos, std::size_t size)
+{
+#if defined(__SSE2__)
+    // 16 bytes per step. A byte is a control byte when its unsigned min
+    // with 0x1F is itself; bytes >= 0x80 stay plain.
+    const __m128i quote = _mm_set1_epi8('"');
+    const __m128i backslash = _mm_set1_epi8('\\');
+    const __m128i control_max = _mm_set1_epi8(0x1F);
+    while (pos + 16 <= size) {
+        const __m128i block = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + pos));
+        const __m128i special =
+            _mm_or_si128(_mm_or_si128(_mm_cmpeq_epi8(block, quote),
+                                      _mm_cmpeq_epi8(block, backslash)),
+                         _mm_cmpeq_epi8(_mm_min_epu8(block, control_max), block));
+        const int mask = _mm_movemask_epi8(special);
+        if (mask != 0) {
+            return pos + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(mask)));
+        }
+        pos += 16;
+    }
+#endif
+    while (pos < size) {
+        const auto byte = static_cast<unsigned char>(data[pos]);
+        if (byte == '"' || byte == '\\' || byte < 0x20) {
+            break;
+        }
+        ++pos;
+    }
+    return pos;
 }
 
 } // namespace
@@ -107,15 +144,28 @@ private:
     JsonValue parse_value()
     {
         skip_whitespace();
+        const std::size_t start = pos_;
+        JsonValue value;
         switch (peek()) {
-        case '{': return parse_object();
-        case '[': return parse_array();
-        case '"': return parse_string_value();
+        case '{':
+        case '[':
+            if (depth_ == JsonValue::max_depth) {
+                fail("nesting deeper than " + std::to_string(JsonValue::max_depth) +
+                     " levels");
+            }
+            ++depth_;
+            value = text_[pos_] == '{' ? parse_object() : parse_array();
+            --depth_;
+            break;
+        case '"': value = parse_string_value(); break;
         case 't':
-        case 'f': return parse_boolean();
-        case 'n': return parse_null();
-        default: return parse_number();
+        case 'f': value = parse_boolean(); break;
+        case 'n': value = parse_null(); break;
+        default: value = parse_number(); break;
         }
+        value.offset_ = start;
+        value.size_ = pos_ - start;
+        return value;
     }
 
     JsonValue parse_object()
@@ -178,11 +228,9 @@ private:
 
     JsonValue parse_string_value()
     {
-        const std::size_t start = pos_;
         JsonValue value;
         value.type_ = JsonValue::Type::string;
         value.string_ = parse_string_literal();
-        value.raw_ = text_.substr(start, pos_ - start);
         return value;
     }
 
@@ -191,6 +239,9 @@ private:
         expect('"');
         std::string out;
         for (;;) {
+            const std::size_t run_end = plain_run_end(text_.data(), pos_, text_.size());
+            out.append(text_, pos_, run_end - pos_);
+            pos_ = run_end;
             if (pos_ >= text_.size()) {
                 fail("unterminated string");
             }
@@ -198,13 +249,9 @@ private:
             if (ch == '"') {
                 return out;
             }
-            if (static_cast<unsigned char>(ch) < 0x20) {
+            if (ch != '\\') {
                 --pos_;
                 fail("unescaped control character in string");
-            }
-            if (ch != '\\') {
-                out.push_back(ch);
-                continue;
             }
             if (pos_ >= text_.size()) {
                 fail("unterminated escape sequence");
@@ -349,6 +396,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; ///< open arrays and objects around pos_
 };
 
 JsonValue JsonValue::parse(const std::string& text)
@@ -390,6 +438,12 @@ const std::string& JsonValue::as_string() const
     return string_;
 }
 
+std::string JsonValue::take_string()
+{
+    (void)as_string();
+    return std::move(string_);
+}
+
 const std::vector<JsonValue>& JsonValue::as_array() const
 {
     if (type_ != Type::array) {
@@ -417,6 +471,11 @@ const JsonValue* JsonValue::find(const std::string& key) const
         }
     }
     return nullptr;
+}
+
+JsonValue* JsonValue::find(const std::string& key)
+{
+    return const_cast<JsonValue*>(static_cast<const JsonValue&>(*this).find(key));
 }
 
 } // namespace mst

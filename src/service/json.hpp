@@ -1,10 +1,12 @@
 // Minimal JSON reader for the request service's wire format.
 //
-// Parses one RFC 8259 document into an immutable JsonValue tree. Scope
+// Parses one RFC 8259 document into a JsonValue tree. Scope
 // is deliberately small (the repo writes JSON elsewhere by hand): no
 // streaming, no comments, numbers are IEEE doubles, object key order is
-// preserved for deterministic error messages. Errors throw
-// JsonParseError with the byte offset of the offending character.
+// preserved for deterministic error messages. Arrays and objects nest at
+// most JsonValue::max_depth deep, so a hostile document cannot exhaust
+// the stack. Errors throw JsonParseError with the byte offset of the
+// offending character.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +41,10 @@ public:
 
     using Member = std::pair<std::string, JsonValue>;
 
+    /// Deepest array/object nesting parse() accepts; the bracket that
+    /// opens level max_depth + 1 is a JsonParseError at its offset.
+    static constexpr std::size_t max_depth = 64;
+
     JsonValue() = default;
 
     /// Parse a complete document; trailing non-whitespace is an error.
@@ -61,11 +67,23 @@ public:
     [[nodiscard]] const std::vector<JsonValue>& as_array() const;
     [[nodiscard]] const std::vector<Member>& as_object() const;
 
+    /// Move the decoded string out, leaving it empty; throws
+    /// ValidationError on type mismatch.
+    [[nodiscard]] std::string take_string();
+
     /// Object member lookup; nullptr when absent (or not an object).
     [[nodiscard]] const JsonValue* find(const std::string& key) const;
+    [[nodiscard]] JsonValue* find(const std::string& key);
 
-    /// The token as written in the source, for round-trip-faithful error
-    /// messages ("got '512x'") and integer re-rendering.
+    /// Where the value's token starts in the parsed text, and its length
+    /// in bytes (the whole bracketed text for arrays and objects).
+    [[nodiscard]] std::size_t source_offset() const noexcept { return offset_; }
+    [[nodiscard]] std::size_t source_size() const noexcept { return size_; }
+
+    /// The token as written in the source, kept for numbers and literals
+    /// only (error messages such as "got '512x'" and integer
+    /// re-rendering). Strings, arrays and objects leave it empty: cut
+    /// their text out of the source by the span above.
     [[nodiscard]] const std::string& raw() const noexcept { return raw_; }
 
 private:
@@ -74,8 +92,10 @@ private:
     Type type_ = Type::null;
     bool bool_ = false;
     double number_ = 0.0;
-    std::string string_;  ///< decoded string value; also the raw token text
-    std::string raw_;
+    std::size_t offset_ = 0;
+    std::size_t size_ = 0;
+    std::string string_; ///< decoded string value
+    std::string raw_;    ///< number and literal tokens only
     std::vector<JsonValue> array_;
     std::vector<Member> object_;
 };

@@ -84,6 +84,16 @@ const std::string& require_string(const JsonValue& value, const std::string& fie
     return value.as_string();
 }
 
+/// A scalar token exactly as written in the request frame (the echo of
+/// `id` and `v` stays byte-identical). Arrays and objects echo nothing.
+std::string source_token(const std::string& frame, const JsonValue& value)
+{
+    if (value.is_array() || value.is_object()) {
+        return "";
+    }
+    return frame.substr(value.source_offset(), value.source_size());
+}
+
 /// %.17g round-trips doubles exactly: two values that differ anywhere
 /// differ in the canonical JSON (which doubles as the memo key).
 std::string canonical_number(double value)
@@ -184,7 +194,7 @@ Request parse_request(const std::string& frame)
     Request request;
     using Op = Request::Op;
     try {
-        const JsonValue root = JsonValue::parse(frame);
+        JsonValue root = JsonValue::parse(frame);
         if (!root.is_object()) {
             fail(ErrorKind::validation, "request must be a JSON object");
         }
@@ -195,7 +205,7 @@ Request parse_request(const std::string& frame)
             if (!id->is_string() && !id->is_number()) {
                 fail(ErrorKind::validation, "request field 'id' expects a string or number");
             }
-            request.id_json = id->raw();
+            request.id_json = source_token(frame, *id);
         }
         if (const JsonValue* v = root.find("v")) {
             // Any value other than the integer 1 (wrong type included)
@@ -209,7 +219,8 @@ Request parse_request(const std::string& frame)
                 }
             }
             if (!supported) {
-                fail(ErrorKind::version, "unsupported protocol version " + v->raw(),
+                fail(ErrorKind::version,
+                     "unsupported protocol version " + source_token(frame, *v),
                      "supported versions: 1");
             }
         }
@@ -290,7 +301,7 @@ Request parse_request(const std::string& frame)
             if (field == "soc") {
                 request.soc_spec = require_string(value, field);
             } else if (field == "soc_text") {
-                request.soc_text = require_string(value, field);
+                require_string(value, field); // moved out below, once valid
                 request.inline_soc = true;
             } else if (const CellBinding* cell = find_cell_binding(field)) {
                 apply_cell_field(request.cell, *cell, value);
@@ -307,6 +318,9 @@ Request parse_request(const std::string& frame)
             fail(ErrorKind::validation,
                  "an optimize request needs exactly one of 'soc' (name or path) "
                  "and 'soc_text' (inline .soc)");
+        }
+        if (request.inline_soc) {
+            request.soc_text = root.find("soc_text")->take_string();
         }
     } catch (const WireErrorException& e) {
         request.error = e.error;

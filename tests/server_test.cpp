@@ -4,6 +4,7 @@
 // graceful-shutdown drain, and malformed/oversized frame isolation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
@@ -212,6 +213,95 @@ TEST(Framing, NdjsonOversizedReportsOnceAcrossChunks)
     reader.feed("yyyy\nok\n", 8); // the rest of the bad line + a good one
     ASSERT_EQ(reader.next(frame), FrameReader::Status::frame);
     EXPECT_EQ(frame, "ok");
+}
+
+TEST(Framing, NdjsonLongLineIsIdenticalAtAnyChunkSize)
+{
+    std::string big = "{\"soc_text\":\"";
+    while (big.size() < 300 * 1024) {
+        big += "module m inputs 8 outputs 8 patterns 50 scan 40 40\\n";
+    }
+    big += "\"}";
+    const std::string bytes = big + "\n{\"b\":2}\n";
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096},
+                                    std::size_t{65536}}) {
+        FrameReader reader(1024 * 1024);
+        std::vector<std::string> frames;
+        std::string frame = "stale";
+        for (std::size_t at = 0; at < bytes.size(); at += chunk) {
+            reader.feed(bytes.data() + at, std::min(chunk, bytes.size() - at));
+            while (reader.next(frame) == FrameReader::Status::frame) {
+                frames.push_back(frame);
+            }
+        }
+        ASSERT_EQ(frames.size(), 2U) << "chunk " << chunk;
+        EXPECT_TRUE(frames[0] == big) << "chunk " << chunk;
+        EXPECT_EQ(frames[1], "{\"b\":2}") << "chunk " << chunk;
+        EXPECT_FALSE(reader.mid_frame());
+    }
+}
+
+TEST(Framing, NdjsonOversizedLineAfterAPartialScanResyncs)
+{
+    std::string frame;
+    {
+        // The cap is crossed before any newline arrives.
+        FrameReader reader(100);
+        reader.feed(std::string(60, 'x').data(), 60);
+        ASSERT_EQ(reader.next(frame), FrameReader::Status::need_more);
+        reader.feed(std::string(60, 'x').data(), 60);
+        ASSERT_EQ(reader.next(frame), FrameReader::Status::oversized);
+        const std::string rest = "xxxx\nok\n";
+        reader.feed(rest.data(), rest.size());
+        ASSERT_EQ(reader.next(frame), FrameReader::Status::frame);
+        EXPECT_EQ(frame, "ok");
+    }
+    {
+        // The newline arrives in the same read that crosses the cap.
+        FrameReader reader(100);
+        reader.feed(std::string(60, 'x').data(), 60);
+        ASSERT_EQ(reader.next(frame), FrameReader::Status::need_more);
+        const std::string rest = std::string(60, 'x') + "\nok\n";
+        reader.feed(rest.data(), rest.size());
+        ASSERT_EQ(reader.next(frame), FrameReader::Status::oversized);
+        ASSERT_EQ(reader.next(frame), FrameReader::Status::frame);
+        EXPECT_EQ(frame, "ok");
+        EXPECT_EQ(reader.next(frame), FrameReader::Status::need_more);
+    }
+}
+
+TEST(Framing, HelloSwitchingFramingMidBufferResetsTheScan)
+{
+    // A 10-byte payload's length prefix ends in 0x0A, a '\n' byte: the
+    // switched reader must parse it as a length, not as a line end.
+    const std::string payload = "{\"a\":1234}";
+    ASSERT_EQ(payload.size(), 10U);
+    const std::string framed = encode_frame(protocol::Framing::length_prefix, payload);
+    ASSERT_EQ(framed[3], '\n');
+    const std::string hello = R"({"op":"hello","framing":"length_prefix"})";
+
+    FrameReader reader(1024);
+    std::string frame;
+    reader.feed(hello.data(), 12); // part of the hello line: scanned, no '\n'
+    ASSERT_EQ(reader.next(frame), FrameReader::Status::need_more);
+    const std::string rest = hello.substr(12) + "\n" + framed + framed.substr(0, 6);
+    reader.feed(rest.data(), rest.size());
+    ASSERT_EQ(reader.next(frame), FrameReader::Status::frame);
+    EXPECT_EQ(frame, hello);
+
+    reader.set_framing(protocol::Framing::length_prefix);
+    ASSERT_EQ(reader.next(frame), FrameReader::Status::frame);
+    EXPECT_EQ(frame, payload);
+    EXPECT_EQ(reader.next(frame), FrameReader::Status::need_more);
+    reader.feed(framed.data() + 6, framed.size() - 6);
+    ASSERT_EQ(reader.next(frame), FrameReader::Status::frame);
+    EXPECT_EQ(frame, payload);
+
+    // And back: the ndjson scan starts afresh on the new bytes.
+    reader.set_framing(protocol::Framing::ndjson);
+    reader.feed("{\"b\":2}\n", 8);
+    ASSERT_EQ(reader.next(frame), FrameReader::Status::frame);
+    EXPECT_EQ(frame, "{\"b\":2}");
 }
 
 TEST(Framing, LengthPrefixRoundTripsAndSkipsOversized)

@@ -263,6 +263,22 @@ TEST(Service, ProtocolVersionIsEchoedAndEnforced)
               std::string::npos);
 }
 
+TEST(Service, IdAndVersionTokensEchoByteForByte)
+{
+    RequestService service;
+    const std::vector<std::string> out = service.execute({
+        R"({"id":"a\u0041\"b","op":"stats"})",
+        R"({"id":1.50,"op":"stats"})",
+        R"({"id":"x","v":"1","op":"stats"})",
+    });
+    EXPECT_EQ(out[0].rfind(R"({"id":"a\u0041\"b","v":1,"ok":true,)", 0), 0U) << out[0];
+    EXPECT_EQ(out[1].rfind(R"({"id":1.50,"v":1,"ok":true,)", 0), 0U) << out[1];
+    const JsonValue version = response(out[2]);
+    EXPECT_EQ(version.find("error")->find("kind")->as_string(), "version");
+    EXPECT_EQ(version.find("error")->find("message")->as_string(),
+              R"(unsupported protocol version "1")");
+}
+
 TEST(Service, HelloIsAConnectionLevelRequest)
 {
     // Over stdio there is no connection to negotiate; the op is typed
@@ -519,6 +535,138 @@ TEST(ServiceJson, RejectsMalformedDocuments)
     } catch (const JsonParseError& error) {
         EXPECT_EQ(error.offset(), 5U);
     }
+}
+
+TEST(ServiceJson, NestingIsCappedWithAParseError)
+{
+    const std::size_t cap = JsonValue::max_depth;
+    const JsonValue deepest =
+        JsonValue::parse(std::string(cap, '[') + std::string(cap, ']'));
+    EXPECT_TRUE(deepest.is_array());
+    for (const std::string& text :
+         {std::string(cap + 1, '[') + std::string(cap + 1, ']'),
+          std::string(cap, '[') + "{\"a\":1}" + std::string(cap, ']')}) {
+        try {
+            (void)JsonValue::parse(text);
+            FAIL() << "expected JsonParseError";
+        } catch (const JsonParseError& error) {
+            EXPECT_EQ(error.offset(), cap); // the bracket that crossed the cap
+            EXPECT_NE(std::string(error.what()).find("nesting deeper than 64 levels"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+    // A line of '[' far too deep for the call stack: one parse error
+    // response, not a crash.
+    const protocol::Request request = protocol::parse_request(std::string(400000, '['));
+    EXPECT_EQ(request.error.kind, protocol::ErrorKind::parse);
+    EXPECT_EQ(request.error.message,
+              "malformed JSON at offset 64: nesting deeper than 64 levels");
+}
+
+/// What a JSON string literal at the start of `text` decodes to, or the
+/// parse error it raises, computed one byte at a time.
+struct ReferenceString {
+    std::string value;
+    std::size_t end = 0; ///< offset just past the closing quote
+    bool failed = false;
+    std::size_t error_offset = 0;
+    std::string error_message;
+};
+
+ReferenceString reference_string(const std::string& text)
+{
+    ReferenceString out;
+    const auto fail = [&out](std::size_t offset, const std::string& message) {
+        out.failed = true;
+        out.error_offset = offset;
+        out.error_message = message;
+        return out;
+    };
+    const auto hex4 = [&text](std::size_t at) {
+        return std::stoul(text.substr(at, 4), nullptr, 16);
+    };
+    std::size_t pos = 1; // past the opening quote
+    for (;;) {
+        if (pos >= text.size()) {
+            return fail(pos, "unterminated string");
+        }
+        const auto byte = static_cast<unsigned char>(text[pos]);
+        if (byte == '"') {
+            out.end = pos + 1;
+            return out;
+        }
+        if (byte < 0x20) {
+            return fail(pos, "unescaped control character in string");
+        }
+        if (byte != '\\') {
+            out.value.push_back(text[pos++]);
+            continue;
+        }
+        const char escape = text[pos + 1];
+        if (escape == 'n') {
+            out.value.push_back('\n');
+            pos += 2;
+        } else if (escape == 'u' && text.compare(pos + 2, 2, "d8") == 0) {
+            // The only surrogate pair the sweep below writes: U+1F600.
+            const unsigned long code_point =
+                0x10000 + ((hex4(pos + 2) - 0xD800) << 10) + (hex4(pos + 8) - 0xDC00);
+            EXPECT_EQ(code_point, 0x1F600UL);
+            out.value += "\xF0\x9F\x98\x80";
+            pos += 12;
+        } else if (escape == 'u') {
+            out.value.push_back(static_cast<char>(hex4(pos + 2)));
+            pos += 6;
+        } else {
+            return fail(pos + 1, std::string("invalid escape '\\") + escape + "'");
+        }
+    }
+}
+
+TEST(ServiceJson, StringScanMatchesAPerByteReferenceAcrossBlocks)
+{
+    // Plain filler that includes DEL and bytes >= 0x80 (which the
+    // vectorized scan must treat as plain), cycled to any length.
+    const std::string filler = "ab\x7F\xC3\xA9z\xFF" "0123456789";
+    const std::vector<std::string> specials = {
+        "\"", "\\n", "\\u0041", "\\ud83d\\ude00", std::string(1, '\x01'), "\\q",
+    };
+    std::size_t checked = 0;
+    for (std::size_t length = 0; length <= 48; ++length) {
+        std::string plain;
+        for (std::size_t i = 0; i < length; ++i) {
+            plain.push_back(filler[i % filler.size()]);
+        }
+        std::vector<std::string> documents = {"\"" + plain + "\"", "\"" + plain};
+        for (std::size_t at = 0; at <= length; ++at) {
+            for (const std::string& special : specials) {
+                documents.push_back("\"" + plain.substr(0, at) + special + plain.substr(at) +
+                                    "\"");
+            }
+        }
+        for (const std::string& document : documents) {
+            ReferenceString expected = reference_string(document);
+            if (!expected.failed && expected.end != document.size()) {
+                expected.failed = true;
+                expected.error_offset = expected.end;
+                expected.error_message = "trailing content after JSON value";
+            }
+            try {
+                const JsonValue value = JsonValue::parse(document);
+                EXPECT_FALSE(expected.failed) << document;
+                EXPECT_EQ(value.as_string(), expected.value) << document;
+            } catch (const JsonParseError& error) {
+                ASSERT_TRUE(expected.failed) << document << ": " << error.what();
+                EXPECT_EQ(error.offset(), expected.error_offset) << document;
+                EXPECT_EQ(std::string(error.what()),
+                          "malformed JSON at offset " + std::to_string(expected.error_offset) +
+                              ": " + expected.error_message)
+                    << document;
+            }
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 49U * 2U + 6U * (49U * 50U / 2U));
 }
 
 TEST(ServiceJson, IntegerAccessorRejectsFractions)
