@@ -38,9 +38,9 @@ public:
     [[nodiscard]] const std::vector<ChannelGroup>& groups() const noexcept { return groups_; }
 
     /// Dense mirrors of the per-group fills and widths, maintained by
-    /// every mutation. The greedy's per-group scans (expansion
-    /// enumeration, first-fit group selection) walk these flat arrays
-    /// instead of striding over the ChannelGroup objects.
+    /// every mutation. The greedy's per-group scan (expansion
+    /// enumeration) walks these flat arrays instead of striding over the
+    /// ChannelGroup objects.
     [[nodiscard]] const std::vector<CycleCount>& group_fills() const noexcept
     {
         return group_fills_;

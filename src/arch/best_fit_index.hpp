@@ -20,8 +20,6 @@
 // reports every mutation (add_group, set_fill or place, set_group).
 // Buffers are kept across clear(), so a reused index allocates nothing
 // after warm-up.
-// First-fit selection (the ablation) asks for the lowest index that
-// fits, which the heaps do not answer; it keeps the dense scan.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "core/pack_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "arch/best_fit_index.hpp"
@@ -32,7 +33,17 @@ struct PackScratch {
 
 namespace {
 
-/// Modules sorted by the configured key; the paper sorts by decreasing
+/// How a greedy pass opens room for a module that fits no existing group
+/// (paper Fig. 4(c)).
+enum class ExpansionPolicy {
+    widen_by_kmin,    ///< paper: every alternative adds k_min(module) wires;
+                      ///< pick the one with the smallest total fill
+    min_widening,     ///< widen an existing group by the smallest delta that
+                      ///< fits, competing on free memory
+    always_new_group, ///< never widen, always open a new group
+};
+
+/// Modules sorted by the pass's key; the paper sorts by decreasing
 /// minimal width, with deterministic tie-breaking on volume then index.
 /// Only the depth-independent kinds are built here — by_min_width is
 /// derived from the by_volume order via a counting sort (see
@@ -54,8 +65,6 @@ std::vector<int> module_order(const SocTimeTables& tables, ModuleOrder order)
         std::stable_sort(indices.begin(), indices.end(), [&](int a, int b) {
             return tables.time(a, 1) > tables.time(b, 1);
         });
-        break;
-    case ModuleOrder::input_order:
         break;
     case ModuleOrder::by_min_width:
         break; // handled per depth by order_by_min_width
@@ -91,28 +100,8 @@ std::vector<int> order_by_min_width(const std::vector<WireCount>& min_widths,
     return indices;
 }
 
-/// The first_fit ablation's group choice: the lowest group index whose
-/// fill stays within `depth` with the module added, or nullopt. A dense
-/// scan over the architecture's fill/width mirrors; best fit asks the
-/// BestFitIndex instead.
-std::optional<std::size_t> first_fit_group(const Architecture& arch,
-                                           const SocTimeTables& tables,
-                                           int module_index,
-                                           CycleCount depth)
-{
-    const SocTimeTables::TimeRow row = tables.time_row(module_index);
-    const std::vector<CycleCount>& fills = arch.group_fills();
-    const std::vector<WireCount>& widths = arch.group_widths();
-    for (std::size_t g = 0; g < fills.size(); ++g) {
-        if (fills[g] + row.at_width(widths[g]) <= depth) {
-            return g;
-        }
-    }
-    return std::nullopt;
-}
-
 /// Enumerate the feasible alternatives of Fig. 4(c) for placing
-/// `module_index` into `out`, under the configured expansion policy.
+/// `module_index` into `out`, under the pass's expansion policy.
 /// The architecture's running aggregates make each alternative O(1):
 /// no per-module rescans of the group list or the member times.
 void enumerate_expansions(const Architecture& arch,
@@ -178,8 +167,8 @@ void enumerate_expansions(const Architecture& arch,
 }
 
 /// Paper's selection: with equal added channels, the smallest total fill
-/// leaves the most free memory. With unequal added wires (min_widening
-/// ablation) compare free memory directly.
+/// leaves the most free memory. With unequal added wires (min_widening)
+/// compare free memory directly.
 const PackExpansion& select_expansion(const std::vector<PackExpansion>& expansions,
                                       CycleCount depth)
 {
@@ -208,7 +197,7 @@ std::optional<Architecture> step1_pass(const SocTimeTables& tables,
                                        WireCount wire_budget,
                                        const std::vector<WireCount>& min_widths,
                                        const std::vector<int>& order,
-                                       const OptimizeOptions& options,
+                                       ExpansionPolicy expansion,
                                        PackScratch& scratch)
 {
     Architecture& arch = scratch.arch;
@@ -230,23 +219,16 @@ std::optional<Architecture> step1_pass(const SocTimeTables& tables,
             continue;
         }
         // Place on an existing group without widening when one fits.
-        if (options.group_select == GroupSelectPolicy::best_fit_min_depth) {
-            const std::optional<BestFitIndex::Fit> fit =
-                index.best_fit(tables.time_row(module_index), depth);
-            if (fit) {
-                arch.add_module(fit->group, module_index);
-                index.place(*fit);
-                continue;
-            }
-        } else if (const std::optional<std::size_t> g =
-                       first_fit_group(arch, tables, module_index, depth)) {
-            arch.add_module(*g, module_index);
-            index.set_fill(*g, arch.group_fills()[*g]);
+        const std::optional<BestFitIndex::Fit> fit =
+            index.best_fit(tables.time_row(module_index), depth);
+        if (fit) {
+            arch.add_module(fit->group, module_index);
+            index.place(*fit);
             continue;
         }
         enumerate_expansions(arch, tables, module_index, min_width, depth, wire_budget,
-                             options.expansion, scratch.expansions);
-        if (scratch.expansions.empty() && options.expansion == ExpansionPolicy::widen_by_kmin) {
+                             expansion, scratch.expansions);
+        if (scratch.expansions.empty() && expansion == ExpansionPolicy::widen_by_kmin) {
             // Budget pressure: the paper's fixed k_min widening no longer
             // fits the remaining channels, but a smaller widening might.
             enumerate_expansions(arch, tables, module_index, min_width, depth, wire_budget,
@@ -268,49 +250,14 @@ std::optional<Architecture> step1_pass(const SocTimeTables& tables,
     return arch;
 }
 
-/// The (module order, expansion policy) pass combinations of one pack
-/// query, in the exact sequential preference order: configured order and
-/// policy first, fallbacks after (budget_search only).
-struct PassPlan {
-    std::vector<ModuleOrder> orders;
-    std::vector<ExpansionPolicy> expansions;
-
-    [[nodiscard]] std::size_t count() const noexcept
-    {
-        return orders.size() * expansions.size();
-    }
-    [[nodiscard]] ModuleOrder order_of(std::size_t pass) const
-    {
-        return orders[pass / expansions.size()];
-    }
-    [[nodiscard]] ExpansionPolicy expansion_of(std::size_t pass) const
-    {
-        return expansions[pass % expansions.size()];
-    }
-};
-
-PassPlan make_pass_plan(const OptimizeOptions& options)
-{
-    PassPlan plan;
-    plan.orders = {options.module_order};
-    plan.expansions = {options.expansion};
-    if (options.budget_search) {
-        for (const ModuleOrder fallback :
-             {ModuleOrder::by_min_width, ModuleOrder::by_volume, ModuleOrder::by_time}) {
-            if (fallback != options.module_order) {
-                plan.orders.push_back(fallback);
-            }
-        }
-        for (const ExpansionPolicy fallback :
-             {ExpansionPolicy::widen_by_kmin, ExpansionPolicy::min_widening,
-              ExpansionPolicy::always_new_group}) {
-            if (fallback != options.expansion) {
-                plan.expansions.push_back(fallback);
-            }
-        }
-    }
-    return plan;
-}
+/// The greedy passes of one pack query in sequential preference order:
+/// order-major, so pass p runs pass_orders[p / 3] x pass_expansions[p % 3].
+/// Pass 0 is the paper's; without budget_search it is the only one.
+constexpr std::array<ModuleOrder, 3> pass_orders{ModuleOrder::by_min_width,
+                                                 ModuleOrder::by_volume, ModuleOrder::by_time};
+constexpr std::array<ExpansionPolicy, 3> pass_expansions{ExpansionPolicy::widen_by_kmin,
+                                                         ExpansionPolicy::min_widening,
+                                                         ExpansionPolicy::always_new_group};
 
 } // namespace
 
@@ -396,14 +343,14 @@ std::optional<Architecture> PackEngine::pack_uncached(CycleCount depth,
 
     // The passes in the sequential preference order; the first that
     // packs wins and no later pass runs.
-    const PassPlan plan = make_pass_plan(options_);
-    OptimizeOptions pass_options = options_;
-    for (std::size_t pass = 0; pass < plan.count(); ++pass) {
-        pass_options.expansion = plan.expansion_of(pass);
+    const std::size_t passes =
+        options_.budget_search ? pass_orders.size() * pass_expansions.size() : 1;
+    for (std::size_t pass = 0; pass < passes; ++pass) {
         ++stats_.greedy_passes;
-        std::optional<Architecture> packed =
-            step1_pass(*tables_, depth, wire_budget, *profile.min_widths,
-                       order_for(profile, plan.order_of(pass)), pass_options, *scratch_);
+        std::optional<Architecture> packed = step1_pass(
+            *tables_, depth, wire_budget, *profile.min_widths,
+            order_for(profile, pass_orders[pass / pass_expansions.size()]),
+            pass_expansions[pass % pass_expansions.size()], *scratch_);
         if (packed) {
             return packed;
         }

@@ -18,14 +18,16 @@
 //     provably has no packing, so it is answered infeasible without
 //     running a single greedy pass.
 //
-// An uncached query runs its (module order x expansion policy) passes in
-// the sequential preference order and stops at the first that packs.
+// An uncached query runs the fixed 3 x 3 plan of greedy passes, module
+// order major and expansion policy minor, in preference order — the
+// paper's pass (decreasing k_min, k_min widening) first — and stops at
+// the first that packs. With OptimizeOptions::budget_search off only the
+// paper's pass runs.
 //
 // Inside one greedy pass, best-fit group selection asks a BestFitIndex
 // (arch/best_fit_index.hpp) kept in step with the pass's architecture:
 // O(width classes) per placed module instead of a scan of every group,
-// with the scan's lowest-index tie-break. The first_fit ablation keeps
-// the dense scan.
+// with the scan's lowest-index tie-break.
 //
 // Determinism: the engine runs on its caller's thread and never fans
 // out, so solutions AND stats are identical at any
@@ -43,6 +45,11 @@
 #include "core/problem.hpp"
 
 namespace mst {
+
+/// Module orders of the greedy passes, in preference order: the paper's
+/// decreasing minimal width (ties: volume, then index) first, then
+/// decreasing test-data volume and decreasing single-wire test time.
+enum class ModuleOrder { by_min_width, by_volume, by_time };
 
 /// Reusable per-pass buffers (architecture with pooled groups, best-fit
 /// index, expansion alternatives). Every greedy pass of an engine builds
@@ -100,9 +107,9 @@ private:
     PackStats stats_;
     std::unique_ptr<PackScratch> scratch_;
 
-    /// Depth-independent module orders (by_volume, by_time, input_order),
-    /// built once per engine; by_min_width depends on the per-depth
-    /// minimal widths and lives in each DepthProfile.
+    /// Depth-independent module orders (by_volume, by_time), built once
+    /// per engine; by_min_width depends on the per-depth minimal widths
+    /// and lives in each DepthProfile.
     std::map<ModuleOrder, std::vector<int>> shared_orders_;
 
     std::map<CycleCount, DepthProfile> profiles_;

@@ -10,28 +10,6 @@
 
 namespace mst {
 
-/// Step-1 policy knobs. The defaults reproduce the paper's algorithm;
-/// the alternatives exist for the ablation benchmarks.
-enum class GroupSelectPolicy {
-    best_fit_min_depth, ///< paper: group yielding the smallest resulting fill
-    first_fit,          ///< ablation: first group that fits, in creation order
-};
-
-enum class ExpansionPolicy {
-    widen_by_kmin,  ///< paper (Fig. 4): every alternative adds k_min(module) wires;
-                    ///< pick the one with the smallest total fill
-    min_widening,   ///< ablation: widen an existing group by the smallest
-                    ///< delta that fits, competing on free memory
-    always_new_group, ///< ablation: never widen, always open a new group
-};
-
-enum class ModuleOrder {
-    by_min_width,  ///< paper: decreasing k_min (ties: volume, then index)
-    by_volume,     ///< ablation: decreasing test-data volume
-    by_time,       ///< ablation: decreasing single-wire test time
-    input_order,   ///< ablation: benchmark file order
-};
-
 /// All options of one optimization run.
 struct OptimizeOptions {
     BroadcastMode broadcast = BroadcastMode::none;
@@ -44,26 +22,26 @@ struct OptimizeOptions {
     int control_pads = default_control_pads;
     int functional_pins = 0;
 
-    /// Step-1 policies (paper defaults).
-    GroupSelectPolicy group_select = GroupSelectPolicy::best_fit_min_depth;
-    ExpansionPolicy expansion = ExpansionPolicy::widen_by_kmin;
-    ModuleOrder module_order = ModuleOrder::by_min_width;
-
     /// Skip Step 2 (used to reproduce the paper's "Step 1 only" curves).
     bool step1_only = false;
 
     /// Criterion-1 budget search: retry the Step-1 greedy under wire
-    /// budgets growing from the theoretical lower bound and keep the
-    /// first feasible packing. This realizes the paper's "criterion 1
-    /// has priority" more strictly than a single greedy pass and removes
-    /// the pass's occasional more-memory-needs-more-channels anomalies.
-    /// Disable to benchmark the raw single-pass greedy (ablation).
+    /// budgets growing from the theoretical lower bound, over virtual
+    /// depths and fallback passes (module orders x expansion policies),
+    /// keep the first feasible packing, then compact it (delete channel
+    /// groups whose modules fit into the remaining ones). This realizes
+    /// the paper's "criterion 1 has priority" more strictly than a single
+    /// greedy pass and removes the pass's occasional
+    /// more-memory-needs-more-channels anomalies.
+    ///
+    /// false is the reference mode: the paper's literal Fig. 4 greedy —
+    /// one pass in decreasing-k_min order with k_min widening, at the full
+    /// depth and the ATE's whole channel budget, and no compaction. (Once
+    /// the ATE's channels no longer allow a k_min widening, where Fig. 4
+    /// exits, the pass still tries the smallest widening that fits.)
+    /// Tests compare against it; docs/divergences.md records what the
+    /// search buys.
     bool budget_search = true;
-
-    /// Post-pass compaction: delete channel groups whose modules can be
-    /// relocated into the remaining groups, saving their wires. Disable
-    /// to benchmark the uncompacted greedy (ablation).
-    bool compaction = true;
 
     /// Memoize repeated packing work (per-depth minimal widths and module
     /// orders, per-(depth, budget) greedy results) across the Step-1

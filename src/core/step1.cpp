@@ -90,7 +90,8 @@ Step1Result run_step1(PackEngine& engine, const AteSpec& ate)
         throw InfeasibleError("SOC '" + soc.name() +
                               "' exceeds the ATE channel budget during Step 1");
     }
-    if (options.compaction) {
+    // Compaction belongs to the search; the raw greedy keeps its groups.
+    if (options.budget_search) {
         packed->compact(depth);
     }
 

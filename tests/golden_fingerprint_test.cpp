@@ -1,6 +1,6 @@
 // Golden fingerprint tests for the memoized Step-1/Step-2 pipeline: on
 // every ITC'02 benchmark SOC, a generated 1000-module wide-shallow SOC,
-// and every ExpansionPolicy ablation, the fast path (WrapperTimeCalculator
+// and both Step-1 modes, the fast path (WrapperTimeCalculator
 // tables + PackEngine memo with seeded depth profiles) must
 // produce a Solution byte-identical to the from-scratch seed pipeline
 // (reference table build, no memoization). Solutions are compared via
@@ -21,17 +21,11 @@
 namespace mst {
 namespace {
 
-const char* policy_name(ExpansionPolicy policy)
+/// The two Step-1 configurations: the default budget search, and the
+/// paper's literal Fig. 4 greedy (OptimizeOptions::budget_search off).
+const char* mode_name(bool budget_search)
 {
-    switch (policy) {
-    case ExpansionPolicy::widen_by_kmin:
-        return "widen_by_kmin";
-    case ExpansionPolicy::min_widening:
-        return "min_widening";
-    case ExpansionPolicy::always_new_group:
-        return "always_new_group";
-    }
-    return "?";
+    return budget_search ? "budget search" : "paper greedy";
 }
 
 /// The ITC'02 benchmark SOCs by name, plus one generated 1000-module
@@ -68,11 +62,9 @@ TEST_P(GoldenFingerprint, MemoizedPipelineMatchesFromScratchRun)
 
     const TestCell cell = cell_for(GetParam());
 
-    for (const ExpansionPolicy policy :
-         {ExpansionPolicy::widen_by_kmin, ExpansionPolicy::min_widening,
-          ExpansionPolicy::always_new_group}) {
+    for (const bool budget_search : {true, false}) {
         OptimizeOptions memoized;
-        memoized.expansion = policy;
+        memoized.budget_search = budget_search;
         memoized.memoize = true;
 
         OptimizeOptions from_scratch = memoized;
@@ -82,16 +74,16 @@ TEST_P(GoldenFingerprint, MemoizedPipelineMatchesFromScratchRun)
         const Solution seed = optimize_multi_site(reference_tables, cell, from_scratch);
 
         EXPECT_EQ(solution_to_json(fast), solution_to_json(seed))
-            << GetParam() << " under " << policy_name(policy);
+            << GetParam() << " under " << mode_name(budget_search);
 
         // The memoized run must not do more greedy work than the
         // from-scratch run; the cache only ever removes passes.
         EXPECT_EQ(fast.stats.packing.pack_calls, seed.stats.packing.pack_calls)
-            << GetParam() << " under " << policy_name(policy);
+            << GetParam() << " under " << mode_name(budget_search);
         EXPECT_LE(fast.stats.packing.greedy_passes, seed.stats.packing.greedy_passes)
-            << GetParam() << " under " << policy_name(policy);
+            << GetParam() << " under " << mode_name(budget_search);
         EXPECT_EQ(seed.stats.packing.pack_cache_hits, 0)
-            << GetParam() << " under " << policy_name(policy);
+            << GetParam() << " under " << mode_name(budget_search);
     }
 }
 

@@ -1,12 +1,25 @@
 // End-to-end integration tests: the complete pipeline from benchmark
 // data (embedded, generated, and file round-tripped) through the
 // two-step optimizer, checked against the paper's reported operating
-// points with tolerances that absorb the data reconstruction.
+// points and claims with tolerances that absorb the data reconstruction.
+//
+// Figure, table and section numbers cite the paper, arXiv 0710.4687
+// (linked from PAPERS.md). Where the measured value departs from the
+// paper, the test pins what this repository measures and cites
+// docs/divergences.md, which explains the gap.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "ate/cost.hpp"
+#include "baseline/bin_packing.hpp"
+#include "baseline/lower_bound.hpp"
+#include "common/format.hpp"
 #include "core/optimizer.hpp"
+#include "core/step1.hpp"
 #include "soc/parser.hpp"
 #include "soc/profiles.hpp"
 #include "soc/writer.hpp"
@@ -18,6 +31,16 @@ TestCell paper_cell()
 {
     TestCell cell; // 512 channels x 7M vectors, 5 MHz, 0.5 s, 1 ms
     return cell;
+}
+
+/// Optimal throughput D_th of `soc` on the paper's cell with the ATE
+/// resized to `channels` x `depth`.
+double throughput_at(const Soc& soc, ChannelCount channels, CycleCount depth)
+{
+    TestCell cell = paper_cell();
+    cell.ate.channels = channels;
+    cell.ate.vector_memory_depth = depth;
+    return optimize_multi_site(soc, cell).best_throughput();
 }
 
 TEST(Integration, Pnx8550NoBroadcastMatchesPaperOperatingPoint)
@@ -46,9 +69,9 @@ TEST(Integration, Pnx8550BroadcastRoughlyDoublesThroughput)
 TEST(Integration, Pnx8550Step2BeatsStep1WhenSitesAreCapped)
 {
     // Paper Figure 5's punchline: if equipment limits the multi-site to
-    // n = 8 (broadcast case), Steps 1+2 beat Step 1 only by ~34%. We
-    // check the ordering (Step 2 redistributes freed channels, so its
-    // throughput at the cap can only be higher).
+    // n = 8 (broadcast case), Steps 1+2 beat Step 1 only by ~34%. This
+    // repository measures +35%, nearly all of it from Step 2's re-pack
+    // fallback (docs/divergences.md).
     const Soc soc = make_benchmark_soc("pnx8550");
     OptimizeOptions options;
     options.broadcast = BroadcastMode::stimuli;
@@ -58,7 +81,7 @@ TEST(Integration, Pnx8550Step2BeatsStep1WhenSitesAreCapped)
     double step2_at_cap = 0.0;
     for (const SitePoint& point : solution.site_curve) {
         if (point.sites == cap) {
-            step2_at_cap = point.figure_of_merit;
+            step2_at_cap = point.devices_per_hour;
         }
     }
     ASSERT_GT(step2_at_cap, 0.0);
@@ -75,7 +98,7 @@ TEST(Integration, Pnx8550Step2BeatsStep1WhenSitesAreCapped)
     const ThroughputResult at_cap =
         evaluate_throughput(inputs, paper_cell().prober, options.yields);
 
-    EXPECT_GE(step2_at_cap, at_cap.devices_per_hour);
+    EXPECT_NEAR(step2_at_cap / at_cap.devices_per_hour - 1.0, 0.34, 0.05);
 }
 
 TEST(Integration, D695FullTable1RowAt48K)
@@ -93,6 +116,90 @@ TEST(Integration, D695FullTable1RowAt48K)
     EXPECT_LE(solution.channels_step1, 30);
     EXPECT_GE(solution.max_sites_step1, 16);
     EXPECT_LE(solution.max_sites_step1, 18);
+}
+
+TEST(Integration, Table1Step1NeverLosesToBinPacking)
+{
+    // Paper Table 1 (stimuli broadcast): on every row, Step 1 needs no
+    // more channels than the rectangle bin-packing baseline [7], hence
+    // reaches at least its multi-site, and never undercuts the
+    // theoretical channel lower bound.
+    struct SocRows {
+        const char* soc;
+        ChannelCount ate_channels;
+        std::vector<std::string> depths;
+    };
+    const std::vector<SocRows> table1 = {
+        {"d695", 256,
+         {"48K", "56K", "64K", "72K", "80K", "88K", "96K", "104K", "112K", "120K", "128K"}},
+        {"p22810", 512,
+         {"384K", "448K", "512K", "576K", "640K", "704K", "768K", "832K", "896K", "960K",
+          "1M"}},
+        {"p34392", 512,
+         {"768K", "896K", "1.000M", "1.128M", "1.256M", "1.384M", "1.512M", "1.640M",
+          "1.768M", "1.896M", "2.000M"}},
+        {"p93791", 512,
+         {"1.000M", "1.256M", "1.512M", "1.768M", "2.000M", "2.256M", "2.512M", "2.768M",
+          "3.000M", "3.256M", "3.512M"}},
+    };
+    OptimizeOptions options;
+    options.broadcast = BroadcastMode::stimuli;
+    int rows = 0;
+    for (const SocRows& soc_rows : table1) {
+        const Soc soc = make_benchmark_soc(soc_rows.soc);
+        const SocTimeTables tables(soc);
+        for (const std::string& depth_text : soc_rows.depths) {
+            AteSpec ate;
+            ate.channels = soc_rows.ate_channels;
+            ate.vector_memory_depth = parse_depth(depth_text);
+            const std::optional<ChannelCount> lb =
+                lower_bound_channels(tables, ate.vector_memory_depth);
+            const BaselineResult bin_packing =
+                pack_rectangles(tables, ate, BroadcastMode::stimuli);
+            const Step1Result us = run_step1(tables, ate, options);
+            const std::string row = std::string(soc_rows.soc) + " @ " + depth_text;
+            EXPECT_GE(us.max_sites, bin_packing.max_sites) << row;
+            EXPECT_LE(us.channels, bin_packing.channels) << row;
+            EXPECT_GE(us.channels, lb.value_or(0)) << row;
+            ++rows;
+        }
+    }
+    EXPECT_EQ(rows, 44);
+}
+
+TEST(Integration, Pnx8550DoublingChannelsDoublesThroughput)
+{
+    // Paper Figure 6(a): D_th grows linearly with the ATE channel count;
+    // 512 -> 1024 channels at 7M multiplies it by ~2.0.
+    const Soc soc = make_benchmark_soc("pnx8550");
+    EXPECT_NEAR(throughput_at(soc, 1024, 7 * mebi) / throughput_at(soc, 512, 7 * mebi), 2.0,
+                0.05);
+}
+
+TEST(Integration, Pnx8550DoublingDepthIsSubLinear)
+{
+    // Paper Figure 6(b): D_th grows sub-linearly with the vector memory
+    // depth; the paper reads ~1.27 for 7M -> 14M at 512 channels. This
+    // repository measures 1.146 on its synthetic PNX8550 (see
+    // docs/divergences.md, "Figure 6(b) and Section 7").
+    const Soc soc = make_benchmark_soc("pnx8550");
+    EXPECT_NEAR(throughput_at(soc, 512, 14 * mebi) / throughput_at(soc, 512, 7 * mebi), 1.15,
+                0.05);
+}
+
+TEST(Integration, Pnx8550ExtraChannelsBeatExtraMemoryAtEqualCost)
+{
+    // Paper Section 7: the price of doubling all 512 channels' memory
+    // (7M -> 14M, $48k) buys 96 extra channels instead. The paper finds
+    // memory the better buy (+27% against +18%). This repository measures
+    // +14% for memory and +18% for channels, so the verdict flips (see
+    // docs/divergences.md, "Figure 6(b) and Section 7").
+    const Soc soc = make_benchmark_soc("pnx8550");
+    const AteCostModel prices;
+    const ChannelCount extra_channels =
+        prices.channels_for_budget(prices.memory_doubling(paper_cell().ate));
+    EXPECT_GT(throughput_at(soc, 512 + extra_channels, 7 * mebi),
+              throughput_at(soc, 512, 14 * mebi));
 }
 
 TEST(Integration, FileRoundTripPreservesOptimizationResult)

@@ -1,7 +1,7 @@
 // Thread-count determinism of the optimizer: OptimizeOptions::threads
 // caps the table build and site-curve fan-outs, and never changes what
 // the sequential packing scans compute. For every ITC'02 SOC, a
-// generated 1000-module wide-shallow SOC, and every expansion policy,
+// generated 1000-module wide-shallow SOC, and both Step-1 modes,
 // the full solution JSON — operating point, TAM plan, E-RPCT wrapper,
 // the whole site curve — must be byte-identical at 1, 2, and 8 threads,
 // and the work counters (pack calls, cache hits, greedy passes,
@@ -20,17 +20,11 @@
 namespace mst {
 namespace {
 
-const char* policy_name(ExpansionPolicy policy)
+/// The two Step-1 configurations: the default budget search, and the
+/// paper's literal Fig. 4 greedy (OptimizeOptions::budget_search off).
+const char* mode_name(bool budget_search)
 {
-    switch (policy) {
-    case ExpansionPolicy::widen_by_kmin:
-        return "widen_by_kmin";
-    case ExpansionPolicy::min_widening:
-        return "min_widening";
-    case ExpansionPolicy::always_new_group:
-        return "always_new_group";
-    }
-    return "?";
+    return budget_search ? "budget search" : "paper greedy";
 }
 
 /// The ITC'02 benchmark SOCs by name, plus one generated 1000-module
@@ -65,11 +59,9 @@ TEST_P(ParallelOptimizer, SolutionJsonIsByteIdenticalAtAnyThreadCount)
     const SocTimeTables tables(soc);
     const TestCell cell = cell_for(GetParam());
 
-    for (const ExpansionPolicy policy :
-         {ExpansionPolicy::widen_by_kmin, ExpansionPolicy::min_widening,
-          ExpansionPolicy::always_new_group}) {
+    for (const bool budget_search : {true, false}) {
         OptimizeOptions options;
-        options.expansion = policy;
+        options.budget_search = budget_search;
 
         options.threads = 1;
         const Solution serial = optimize_multi_site(tables, cell, options);
@@ -79,7 +71,7 @@ TEST_P(ParallelOptimizer, SolutionJsonIsByteIdenticalAtAnyThreadCount)
             options.threads = threads;
             const Solution parallel = optimize_multi_site(tables, cell, options);
             EXPECT_EQ(solution_to_json(parallel), serial_json)
-                << GetParam() << " under " << policy_name(policy) << " at " << threads
+                << GetParam() << " under " << mode_name(budget_search) << " at " << threads
                 << " threads";
 
             // The scans are sequential, so the counters agree as well.
