@@ -808,7 +808,7 @@ int cmd_help()
         "           [--index S] [--contact S] [--broadcast] [--abort-on-fail]\n"
         "           [--retest] [--pc P] [--pm P] [--step1-only] [--gantt] [--json]\n"
         "           [--threads N] [--exact] [--exact-budget-ms N]\n"
-        "           (--threads caps the table-build and site-curve fan-outs;\n"
+        "           (--threads caps the table-build and exact-solver fan-outs;\n"
         "            the solution is byte-identical at any thread count;\n"
         "            --exact certifies Step 1 with the branch-and-bound solver,\n"
         "            --exact-budget-ms caps it by a deterministic node budget)\n"

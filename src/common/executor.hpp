@@ -1,7 +1,7 @@
 // Process-wide task executor: one lazily-started thread pool shared by
 // every parallel surface of the library (BatchRunner scenario fan-out,
 // RequestService request fan-out, SocTimeTables construction, the
-// Step-2 site curve, the exact solver's subtree waves, `mst bench`).
+// exact solver's subtree waves, `mst bench`).
 //
 // Design rules:
 //   * The process owns exactly one pool (Executor::global()); explicit

@@ -81,11 +81,8 @@ Solution optimize_multi_site(const SocTimeTables& tables,
     Step2Result step2{0, step1.architecture, {}, {}};
     if (options.step1_only) {
         solution.sites = step1.max_sites;
-        ThroughputInputs inputs;
-        inputs.sites = step1.max_sites;
-        inputs.manufacturing_test_time = cell.ate.seconds_for(step1.architecture.test_cycles());
-        inputs.contacted_terminals_per_soc = step1.channels + options.control_pads;
-        solution.throughput = evaluate_throughput(inputs, cell.prober, options.yields, options.abort);
+        solution.throughput =
+            evaluate_site_point(step1.max_sites, step1.architecture, cell, options).throughput;
     } else {
         step2 = run_step2(engine, step1, cell);
         solution.sites = step2.best_sites;

@@ -63,8 +63,8 @@ struct OptimizeOptions {
     std::int64_t exact_budget_ms = 0;
 
     /// Concurrency cap for the fan-outs of one optimize call: the
-    /// SocTimeTables build and the site-curve evaluation of 256 or more
-    /// points. The Step-1 and Step-2 packing scans are sequential.
+    /// SocTimeTables build and the exact solver's subtree waves. The
+    /// Step-1 and Step-2 packing scans and the site curve are sequential.
     /// <= 0 uses the whole shared executor (hardware width); 1 runs
     /// everything inline. The solution AND the work counters are
     /// byte-identical at every value.

@@ -23,9 +23,11 @@ namespace mst {
 struct OptimizerStats {
     PackStats packing;            ///< Step-1/Step-2 packing work
     std::int64_t site_points = 0; ///< Step-2 site curve points evaluated
-    /// Resolved concurrency cap of the run (OptimizeOptions::threads,
-    /// with <= 0 resolved to the shared executor's width). Purely
-    /// informational: results and the other counters do not depend on it.
+    /// Resolved concurrency cap of the run's table build and exact
+    /// solver waves (OptimizeOptions::threads, with <= 0 resolved to the
+    /// shared executor's width); the packing scans and the site curve
+    /// run sequentially. Purely informational: results and the other
+    /// counters do not depend on it.
     int threads = 0;
 };
 

@@ -6,48 +6,32 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/executor.hpp"
 
 namespace mst {
 
-namespace {
-
-/// What the throughput model needs to know about one site point's
-/// architecture. Snapshotting the two scalars instead of the whole
-/// Architecture keeps the per-point bookkeeping allocation-free along
-/// curves with hundreds of points.
-struct PointShape {
-    ChannelCount channels = 0;
-    CycleCount test_cycles = 0;
-};
-
-ThroughputResult evaluate_shape(SiteCount sites,
-                                const PointShape& shape,
-                                const TestCell& cell,
-                                const OptimizeOptions& options)
+SiteEvaluation evaluate_site_point(SiteCount sites,
+                                  const Architecture& architecture,
+                                  const TestCell& cell,
+                                  const OptimizeOptions& options)
 {
     ThroughputInputs inputs;
     inputs.sites = sites;
-    inputs.manufacturing_test_time = cell.ate.seconds_for(shape.test_cycles);
-    inputs.contacted_terminals_per_soc = shape.channels + options.control_pads;
-    return evaluate_throughput(inputs, cell.prober, options.yields, options.abort);
-}
+    inputs.manufacturing_test_time = cell.ate.seconds_for(architecture.test_cycles());
+    inputs.contacted_terminals_per_soc = architecture.channels() + options.control_pads;
 
-SitePoint make_point(SiteCount sites, const PointShape& shape, const TestCell& cell,
-                     const ThroughputResult& result, RetestPolicy retest)
-{
-    SitePoint point;
+    SiteEvaluation evaluation;
+    evaluation.throughput =
+        evaluate_throughput(inputs, cell.prober, options.yields, options.abort);
+    SitePoint& point = evaluation.point;
     point.sites = sites;
-    point.channels_per_site = shape.channels;
-    point.test_cycles = shape.test_cycles;
-    point.manufacturing_time = cell.ate.seconds_for(shape.test_cycles);
-    point.devices_per_hour = result.devices_per_hour;
-    point.unique_devices_per_hour = result.unique_devices_per_hour;
-    point.figure_of_merit = figure_of_merit(result, retest);
-    return point;
+    point.channels_per_site = architecture.channels();
+    point.test_cycles = architecture.test_cycles();
+    point.manufacturing_time = inputs.manufacturing_test_time;
+    point.devices_per_hour = evaluation.throughput.devices_per_hour;
+    point.unique_devices_per_hour = evaluation.throughput.unique_devices_per_hour;
+    point.figure_of_merit = figure_of_merit(evaluation.throughput, options.retest);
+    return evaluation;
 }
-
-} // namespace
 
 std::vector<CycleCount> repack_candidates(const SocTimeTables& tables,
                                           CycleCount depth,
@@ -116,25 +100,18 @@ Step2Result run_step2(PackEngine& engine, const Step1Result& step1, const TestCe
         throw ValidationError("Step 2 requires a feasible Step-1 result");
     }
 
-    const auto count = static_cast<std::size_t>(step1.max_sites);
-    std::vector<SiteCount> sites(count);
-    std::vector<PointShape> shapes(count);
-    // The incumbent mutates rarely (only when the budget boundary frees
-    // wires or a re-pack wins); snapshots record it exactly at those
-    // points so the winner's architecture can be recovered without
-    // copying it once per curve point.
-    std::vector<Architecture> snapshots;
-    std::vector<std::size_t> snapshot_from;
-
+    Step2Result result{0, step1.architecture, {}, {}};
+    result.curve.reserve(static_cast<std::size_t>(step1.max_sites));
+    DevicesPerHour best = -1.0;
     // `incumbent` carries the best architecture found so far down the
     // linear search; the per-site budget only grows as n shrinks, so the
     // incumbent always fits and the test time is monotone along the
-    // curve. The chain is inherently sequential: each n's budget scan
-    // starts from the previous incumbent.
+    // curve. It mutates rarely (only when the budget boundary frees
+    // wires or a re-pack wins), so the winner's copy is refreshed only
+    // when a new best point finds it changed since the last copy.
     Architecture incumbent = step1.architecture;
-    for (std::size_t i = 0; i < count; ++i) {
-        const SiteCount n = step1.max_sites - static_cast<SiteCount>(i);
-        sites[i] = n;
+    bool incumbent_changed = false;
+    for (SiteCount n = step1.max_sites; n >= 1; --n) {
         // Redistribute the channels freed up by giving up sites: every
         // site may grow to the per-site budget. Wires are handed one at a
         // time to the group with the largest fill (the bottleneck).
@@ -153,51 +130,22 @@ Step2Result run_step2(PackEngine& engine, const Step1Result& step1, const TestCe
         if (repacked) {
             incumbent = std::move(*repacked);
         }
-        if (snapshots.empty() || repacked || incumbent.total_wires() != wires_before) {
-            snapshots.push_back(incumbent);
-            snapshot_from.push_back(i);
+        if (repacked || incumbent.total_wires() != wires_before) {
+            incumbent_changed = true;
         }
-        shapes[i] = {incumbent.channels(), incumbent.test_cycles()};
-    }
 
-    // The throughput model is independent per site point once the
-    // shapes are fixed; evaluate the whole curve concurrently. Each
-    // point is a handful of closed-form evaluations, so the fan-out only
-    // pays for long curves on a pool with real workers — gating it
-    // changes wall time, never results (each slot is written once).
-    Step2Result result{0, step1.architecture, {}, {}};
-    result.curve.resize(count);
-    std::vector<ThroughputResult> throughputs(count);
-    const bool fan_out = count >= 256 && Executor::global().worker_count() >= 2;
-    parallel_for_index(count, fan_out ? options.threads : 1, [&](std::size_t i) {
-        throughputs[i] = evaluate_shape(sites[i], shapes[i], cell, options);
-        result.curve[i] = make_point(sites[i], shapes[i], cell, throughputs[i], options.retest);
-    });
-
-    // Deterministic reduction in descending-n order: strict improvement
-    // keeps the earlier (larger) n on ties, exactly like the sequential
-    // scan.
-    DevicesPerHour best = -1.0;
-    std::size_t best_index = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const DevicesPerHour merit = result.curve[i].figure_of_merit;
-        if (merit > best) {
-            best = merit;
-            best_index = i;
-            result.best_sites = sites[i];
-            result.best_throughput = throughputs[i];
+        const SiteEvaluation evaluation = evaluate_site_point(n, incumbent, cell, options);
+        // Strict improvement keeps the larger n on ties.
+        if (evaluation.point.figure_of_merit > best) {
+            best = evaluation.point.figure_of_merit;
+            result.best_sites = n;
+            result.best_throughput = evaluation.throughput;
+            if (incumbent_changed) {
+                result.best_architecture = incumbent;
+                incumbent_changed = false;
+            }
         }
-    }
-    // Recover the winning architecture: the last snapshot at or before
-    // the winning point.
-    std::size_t snapshot = 0;
-    for (std::size_t s = 0; s < snapshot_from.size(); ++s) {
-        if (snapshot_from[s] <= best_index) {
-            snapshot = s;
-        }
-    }
-    if (!snapshots.empty()) {
-        result.best_architecture = std::move(snapshots[snapshot]);
+        result.curve.push_back(evaluation.point);
     }
     return result;
 }

@@ -19,6 +19,20 @@ struct Step2Result {
     std::vector<SitePoint> curve;    ///< one entry per examined n (descending)
 };
 
+/// One evaluated site point: its curve entry and the throughput-model
+/// output behind it.
+struct SiteEvaluation {
+    SitePoint point;
+    ThroughputResult throughput;
+};
+
+/// Evaluate the throughput model (Section 4) for `sites` sites, each
+/// tested through `architecture`.
+[[nodiscard]] SiteEvaluation evaluate_site_point(SiteCount sites,
+                                                 const Architecture& architecture,
+                                                 const TestCell& cell,
+                                                 const OptimizeOptions& options);
+
 /// Run Step 2 starting from a Step-1 architecture, sharing the packing
 /// engine (and its memo) with Step 1's budget search.
 [[nodiscard]] Step2Result run_step2(PackEngine& engine,

@@ -1,11 +1,11 @@
 // Thread-count determinism of the optimizer: OptimizeOptions::threads
-// caps the table build and site-curve fan-outs, and never changes what
-// the sequential packing scans compute. For every ITC'02 SOC, a
-// generated 1000-module wide-shallow SOC, and both Step-1 modes,
-// the full solution JSON — operating point, TAM plan, E-RPCT wrapper,
-// the whole site curve — must be byte-identical at 1, 2, and 8 threads,
-// and the work counters (pack calls, cache hits, greedy passes,
-// profiles, prunes) must match too.
+// caps the table build's fan-out, and never changes what the sequential
+// packing scans and the site curve compute. For every ITC'02 SOC, d695
+// on a 512-point site curve, a generated 1000-module wide-shallow SOC,
+// and both Step-1 modes, the full solution JSON — operating point, TAM
+// plan, E-RPCT wrapper, the whole site curve — must be byte-identical
+// at 1, 2, and 8 threads, and the work counters (pack calls, cache
+// hits, greedy passes, profiles, prunes) must match too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,12 +27,15 @@ const char* mode_name(bool budget_search)
     return budget_search ? "budget search" : "paper greedy";
 }
 
-/// The ITC'02 benchmark SOCs by name, plus one generated 1000-module
-/// wide-shallow SOC.
+/// The ITC'02 benchmark SOCs by name, d695 again on a long curve, plus
+/// one generated 1000-module wide-shallow SOC.
 Soc soc_named(const std::string& name)
 {
     if (name == "gen100x-wide") {
         return generate_soc(scaled_benchmark_config(name, 1000, ScaledShape::wide_shallow));
+    }
+    if (name == "d695-long-curve") {
+        return make_benchmark_soc("d695");
     }
     return make_benchmark_soc(name);
 }
@@ -40,13 +43,19 @@ Soc soc_named(const std::string& name)
 /// The paper's cell (512 channels x 7M vectors) for the ITC'02 SOCs. The
 /// generated SOC fits width 1 at every virtual depth of that cell, so it
 /// runs on 1024 x 256K instead: there minimal widths move between depths
-/// and each depth profile seeded from a deeper one does real work.
+/// and each depth profile seeded from a deeper one does real work. The
+/// long-curve d695 runs on 1024 x 32M: 2 channels per site, so its site
+/// curve has 512 points.
 TestCell cell_for(const std::string& name)
 {
     TestCell cell;
     if (name == "gen100x-wide") {
         cell.ate.channels = 1024;
         cell.ate.vector_memory_depth = 256 * kibi;
+    }
+    if (name == "d695-long-curve") {
+        cell.ate.channels = 1024;
+        cell.ate.vector_memory_depth = 32 * mebi;
     }
     return cell;
 }
@@ -66,6 +75,9 @@ TEST_P(ParallelOptimizer, SolutionJsonIsByteIdenticalAtAnyThreadCount)
         options.threads = 1;
         const Solution serial = optimize_multi_site(tables, cell, options);
         const std::string serial_json = solution_to_json(serial);
+        if (std::string(GetParam()) == "d695-long-curve") {
+            EXPECT_GE(serial.site_curve.size(), 256u) << mode_name(budget_search);
+        }
 
         for (const int threads : {2, 8}) {
             options.threads = threads;
@@ -117,8 +129,8 @@ TEST(ParallelOptimizer, ThreadsKnobIsSurfacedInStats)
 }
 
 INSTANTIATE_TEST_SUITE_P(BenchmarkSocs, ParallelOptimizer,
-                         ::testing::Values("d695", "p22810", "p34392", "p93791",
-                                           "gen100x-wide"),
+                         ::testing::Values("d695", "d695-long-curve", "p22810", "p34392",
+                                           "p93791", "gen100x-wide"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                              std::string name = info.param;
                              std::replace(name.begin(), name.end(), '-', '_');

@@ -1,12 +1,9 @@
-// Unit tests for the report layer: ASCII tables, CSV escaping, data
-// series printing, and sparklines.
+// Unit tests for the report layer's ASCII tables.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "common/error.hpp"
-#include "report/csv.hpp"
-#include "report/series.hpp"
 #include "report/table.hpp"
 
 namespace mst {
@@ -52,70 +49,6 @@ TEST(TableReport, StreamOperatorMatchesToString)
     std::ostringstream out;
     out << table;
     EXPECT_EQ(out.str(), table.to_string());
-}
-
-TEST(CsvReport, PlainCellsPassThrough)
-{
-    EXPECT_EQ(CsvWriter::escape("hello"), "hello");
-    EXPECT_EQ(CsvWriter::escape("12.5"), "12.5");
-}
-
-TEST(CsvReport, QuotesSpecialCells)
-{
-    EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-    EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-    EXPECT_EQ(CsvWriter::escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(CsvReport, WritesRows)
-{
-    std::ostringstream out;
-    CsvWriter writer(out);
-    writer.write_row({"n", "D_th"});
-    writer.write_row({"7", "12,800"});
-    EXPECT_EQ(out.str(), "n,D_th\n7,\"12,800\"\n");
-}
-
-TEST(SeriesReport, PrintsLabelledBlock)
-{
-    Series series;
-    series.name = "fig5";
-    series.x_label = "n";
-    series.y_label = "D_th";
-    series.points = {{1.0, 10.0}, {2.0, 20.0}};
-    std::ostringstream out;
-    print_series(out, series);
-    const std::string text = out.str();
-    EXPECT_NE(text.find("# fig5"), std::string::npos);
-    EXPECT_NE(text.find("1 10"), std::string::npos);
-    EXPECT_NE(text.find("2 20"), std::string::npos);
-    EXPECT_NE(text.find("# shape: "), std::string::npos);
-}
-
-TEST(Sparkline, OneCharPerPoint)
-{
-    const std::vector<std::pair<double, double>> points = {
-        {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}};
-    EXPECT_EQ(sparkline(points).size(), 5u);
-}
-
-TEST(Sparkline, FlatSeriesUsesLowestLevel)
-{
-    const std::vector<std::pair<double, double>> points = {{0, 7}, {1, 7}, {2, 7}};
-    EXPECT_EQ(sparkline(points), "___");
-}
-
-TEST(Sparkline, ExtremesMapToExtremeLevels)
-{
-    const std::vector<std::pair<double, double>> points = {{0, 0}, {1, 100}};
-    const std::string line = sparkline(points);
-    EXPECT_EQ(line.front(), '_');
-    EXPECT_EQ(line.back(), '#');
-}
-
-TEST(Sparkline, EmptyInputGivesEmptyLine)
-{
-    EXPECT_TRUE(sparkline({}).empty());
 }
 
 } // namespace

@@ -283,6 +283,21 @@ TEST(Step1, BudgetAscentMatchesSequentialReferenceBeyondFirstWaves)
     EXPECT_GE(deepest_gap, 2) << "test inputs no longer reach the batched budget waves";
 }
 
+/// Compaction after the budget search is live: on this SOC the ascent
+/// winner has 23 wires, and deleting one group whose modules fit into
+/// the others' slack brings it to 22. Among ~10.9k feasible cells over
+/// 600 random SOCs and the five benchmark SOCs, this SOC at depth
+/// 50 000 (on 64 to 512 channels) is the only place where it saves a
+/// wire; without compaction Step 1 reports 46 channels here.
+TEST(Step1, CompactionSavesAWire)
+{
+    const Soc soc = random_soc(423, 24);
+    const SocTimeTables tables(soc);
+    const Step1Result result = run_step1(tables, ate_spec(64, 50'000), OptimizeOptions{});
+    EXPECT_EQ(result.channels, 44);
+    EXPECT_LE(result.architecture.test_cycles(), 50'000);
+}
+
 TEST(Step1, DeterministicAcrossRuns)
 {
     const Soc soc = make_d695();

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -132,25 +133,30 @@ TEST(Step2, RejectsUnusableStep1Result)
 }
 
 /// Property sweep over random SOCs: the Step-2 curve is internally
-/// consistent for every broadcast/abort/retest combination.
+/// consistent for every broadcast/abort/retest combination, and the
+/// reported winner is the curve's maximum with its own architecture.
 struct Step2Combo {
     std::uint64_t seed;
     BroadcastMode broadcast;
+    ChannelCount channels = 128;
+    CycleCount depth = 80'000;
+    Seconds index_time = ProbeStation{}.index_time;
 };
 
 class Step2PropertyTest : public testing::TestWithParam<Step2Combo> {};
 
 TEST_P(Step2PropertyTest, CurveInvariants)
 {
-    const auto [seed, broadcast] = GetParam();
-    const Soc soc = random_soc(seed, 8);
+    const Step2Combo combo = GetParam();
+    const Soc soc = random_soc(combo.seed, 8);
     const SocTimeTables tables(soc);
     TestCell cell;
-    cell.ate.channels = 128;
-    cell.ate.vector_memory_depth = 80'000;
+    cell.ate.channels = combo.channels;
+    cell.ate.vector_memory_depth = combo.depth;
+    cell.prober.index_time = combo.index_time;
 
     OptimizeOptions options;
-    options.broadcast = broadcast;
+    options.broadcast = combo.broadcast;
     options.yields.contact_yield_per_terminal = 0.999;
     options.yields.manufacturing_yield = 0.9;
     options.abort = AbortOnFail::on;
@@ -165,13 +171,50 @@ TEST_P(Step2PropertyTest, CurveInvariants)
         EXPECT_LE(point.test_cycles, cell.ate.vector_memory_depth);
         EXPECT_EQ(point.channels_per_site % 2, 0);
     }
+
+    // The winner is the first strict maximum in descending-n order, and
+    // everything reported for it belongs to that curve point.
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < step2.curve.size(); ++i) {
+        if (step2.curve[i].figure_of_merit > step2.curve[best].figure_of_merit) {
+            best = i;
+        }
+    }
+    const SitePoint& winner = step2.curve[best];
+    EXPECT_EQ(step2.best_sites, winner.sites);
+    EXPECT_EQ(step2.best_architecture.channels(), winner.channels_per_site);
+    EXPECT_EQ(step2.best_architecture.test_cycles(), winner.test_cycles);
+    EXPECT_EQ(step2.best_throughput.devices_per_hour, winner.devices_per_hour);
+    EXPECT_EQ(step2.best_throughput.unique_devices_per_hour, winner.unique_devices_per_hour);
+    EXPECT_EQ(figure_of_merit(step2.best_throughput, options.retest), winner.figure_of_merit);
+
+    // The long curves must keep exercising the winner's recovery: the
+    // incumbent changes both before and after a mid-curve winner.
+    if (combo.channels >= 1024) {
+        EXPECT_GE(step2.curve.size(), 256u);
+        const SitePoint& first = step2.curve.front();
+        const SitePoint& last = step2.curve.back();
+        EXPECT_NE(winner.test_cycles, first.test_cycles);
+        EXPECT_TRUE(winner.test_cycles != last.test_cycles ||
+                    winner.channels_per_site != last.channels_per_site);
+    }
 }
 
+// The long curves (256 to 511 points) use a fast prober (1 ms index
+// time), so test time weighs enough to move the winner off n_max.
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndModes, Step2PropertyTest,
     testing::Values(Step2Combo{11, BroadcastMode::none}, Step2Combo{11, BroadcastMode::stimuli},
                     Step2Combo{23, BroadcastMode::none}, Step2Combo{23, BroadcastMode::stimuli},
-                    Step2Combo{37, BroadcastMode::none}, Step2Combo{37, BroadcastMode::stimuli}));
+                    Step2Combo{37, BroadcastMode::none}, Step2Combo{37, BroadcastMode::stimuli},
+                    Step2Combo{5, BroadcastMode::none, 1024, 200'000, 0.001},
+                    Step2Combo{50, BroadcastMode::none, 1024, 200'000, 0.001},
+                    Step2Combo{50, BroadcastMode::stimuli, 1024, 200'000, 0.001}),
+    [](const testing::TestParamInfo<Step2Combo>& info) {
+        return "seed" + std::to_string(info.param.seed) +
+               (info.param.broadcast == BroadcastMode::none ? "_none_" : "_stimuli_") +
+               std::to_string(info.param.channels) + "ch";
+    });
 
 TEST(Step2, RepackCandidatesAreConsecutiveLatticePoints)
 {
