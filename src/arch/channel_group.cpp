@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
@@ -105,6 +106,39 @@ void SocTimeTables::sum_min_areas() noexcept
     for (int m = 0; m < module_count(); ++m) {
         total_min_area_ += min_area(m);
     }
+}
+
+namespace {
+
+/// Module indices 0..count-1, stably sorted by `before`: ties keep
+/// index order.
+template <class Before>
+std::vector<int> sorted_modules(int count, Before before)
+{
+    std::vector<int> indices(static_cast<std::size_t>(count));
+    std::iota(indices.begin(), indices.end(), 0);
+    std::stable_sort(indices.begin(), indices.end(), before);
+    return indices;
+}
+
+} // namespace
+
+const std::vector<int>& SocTimeTables::volume_order() const
+{
+    std::call_once(orders_->volume_built, [this] {
+        orders_->by_volume = sorted_modules(
+            module_count(), [this](int a, int b) { return volume_bits(a) > volume_bits(b); });
+    });
+    return orders_->by_volume;
+}
+
+const std::vector<int>& SocTimeTables::time_order() const
+{
+    std::call_once(orders_->time_built, [this] {
+        orders_->by_time = sorted_modules(
+            module_count(), [this](int a, int b) { return time(a, 1) > time(b, 1); });
+    });
+    return orders_->by_time;
 }
 
 ChannelGroup::ChannelGroup(WireCount width, const SocTimeTables& tables)

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <optional>
 #include <utility>
@@ -60,9 +61,14 @@ template <class T>
 using TableArray = std::vector<T, DefaultInitAllocator<T>>;
 
 /// Precomputed width/time staircases for every module of an SOC.
-/// The SOC must outlive the tables. Immutable after construction, so one
-/// instance can be shared freely across threads (BatchRunner builds one
-/// per distinct SOC and hands it to every scenario of that SOC).
+/// The SOC must outlive the tables. Immutable after construction, with
+/// one exception: the two depth-independent module orders
+/// (volume_order(), time_order()) are built on first use, each at most
+/// once per table set under std::call_once. So one instance can be
+/// shared freely across threads (BatchRunner builds one per distinct
+/// SOC and hands it to every scenario of that SOC; serve's tables cache
+/// hands one to every request): concurrent first calls build an order
+/// once, and every caller reads the same vector.
 ///
 /// The tables are stored once, as flat structure-of-arrays blocks: module
 /// m owns entries [offsets_[m], offsets_[m + 1]) of the times, used-width
@@ -216,6 +222,17 @@ public:
         return volumes_[static_cast<std::size_t>(module_index)];
     }
 
+    /// Module indices by decreasing test-data volume, ties by index: the
+    /// by-volume greedy order, and the base the per-depth
+    /// by-minimal-width order is counting-sorted from. Built on first
+    /// use, once per table set (see the class comment).
+    [[nodiscard]] const std::vector<int>& volume_order() const;
+
+    /// Module indices by decreasing single-wire test time, ties by
+    /// index: the by-time greedy order. Built on first use, once per
+    /// table set.
+    [[nodiscard]] const std::vector<int>& time_order() const;
+
 private:
     /// Flat index of `module_index` at `width`, clamped into its row.
     /// Every index this can produce is materialized, which is what
@@ -246,6 +263,17 @@ private:
     TableArray<WireCount> used_widths_;
     TableArray<CycleCount> suffix_min_areas_;
     std::vector<std::int64_t> volumes_;
+
+    /// The once-built module orders. std::once_flag neither copies nor
+    /// moves, so they sit behind a pointer: the tables stay movable (the
+    /// serve tables cache moves a restored set into its entry).
+    struct ModuleOrders {
+        std::once_flag volume_built;
+        std::once_flag time_built;
+        std::vector<int> by_volume;
+        std::vector<int> by_time;
+    };
+    std::unique_ptr<ModuleOrders> orders_ = std::make_unique<ModuleOrders>();
 };
 
 /// One TAM / channel group.

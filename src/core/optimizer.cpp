@@ -19,7 +19,9 @@ std::vector<GroupSummary> summarize_groups(const Architecture& arch, const Soc& 
         summary.wires = group.width();
         summary.channels = channels_from_wires(group.width());
         summary.fill = group.fill();
-        for (const int module_index : group.module_indices()) {
+        summary.module_indices = group.module_indices();
+        summary.module_names.reserve(summary.module_indices.size());
+        for (const int module_index : summary.module_indices) {
             summary.module_names.push_back(soc.module(module_index).name());
         }
         summaries.push_back(std::move(summary));

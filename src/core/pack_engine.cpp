@@ -43,12 +43,11 @@ enum class ExpansionPolicy {
     always_new_group, ///< never widen, always open a new group
 };
 
-/// Modules sorted by the pass's key; the paper sorts by decreasing
-/// minimal width, with deterministic tie-breaking on volume then index.
-/// Only the depth-independent kinds are built here — by_min_width is
-/// derived from the by_volume order via a counting sort (see
-/// order_by_min_width), so the O(n log n) comparison sorts run once per
-/// engine instead of once per depth profile.
+/// The from-scratch reference's own copy of a depth-independent order
+/// (memoize off): sorted here, independently of the table set's
+/// once-built SocTimeTables::volume_order() / time_order(), so the
+/// oracle does not share them. by_min_width is derived per depth from
+/// the by_volume order via a counting sort (see order_by_min_width).
 std::vector<int> module_order(const SocTimeTables& tables, ModuleOrder order)
 {
     const auto count = static_cast<std::size_t>(tables.module_count());
@@ -306,9 +305,13 @@ PackEngine::DepthProfile PackEngine::make_profile(CycleCount depth, const DepthP
 
 const std::vector<int>& PackEngine::shared_order(ModuleOrder order)
 {
-    auto found = shared_orders_.find(order);
-    if (found == shared_orders_.end()) {
-        found = shared_orders_.emplace(order, module_order(*tables_, order)).first;
+    if (options_.memoize) {
+        return order == ModuleOrder::by_volume ? tables_->volume_order()
+                                               : tables_->time_order();
+    }
+    auto found = reference_orders_.find(order);
+    if (found == reference_orders_.end()) {
+        found = reference_orders_.emplace(order, module_order(*tables_, order)).first;
     }
     return found->second;
 }

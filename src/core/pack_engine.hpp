@@ -4,10 +4,14 @@
 // query the greedy many times with repeating (virtual depth, wire
 // budget) pairs. PackEngine answers those queries through two layers:
 //
-//   * memoization — per depth: minimal widths, module orders, and the
-//     per-depth area floor; per (depth, budget): the packed architecture
-//     (or infeasibility). Pure caching, byte-identical results
-//     (tests/golden_fingerprint_test.cpp), off via OptimizeOptions::memoize.
+//   * memoization — per depth: minimal widths, the by-minimal-width
+//     module order, and the per-depth area floor; per (depth, budget):
+//     the packed architecture (or infeasibility). The depth-independent
+//     orders (by volume, by single-wire time) are not the engine's: it
+//     reads the ones SocTimeTables builds once per table set, shared by
+//     every engine over that set. Pure caching, byte-identical results
+//     (tests/golden_fingerprint_test.cpp), off via OptimizeOptions::memoize;
+//     the unmemoized reference also sorts its own copy of both orders.
 //     A new depth profile starts from the nearest deeper one: minimal
 //     widths never shrink as the depth drops, so each module's search
 //     starts at its width there, one probe when the width holds. Same
@@ -86,8 +90,8 @@ private:
         /// packing within this depth can occupy fewer wire-cycles.
         CycleCount area_floor = 0;
         /// Lazily built by-min-width module order (the only depth-
-        /// dependent kind). Depth-independent orders live engine-wide in
-        /// shared_orders_.
+        /// dependent kind). The depth-independent orders are shared (see
+        /// shared_order).
         std::optional<std::vector<int>> by_min_width;
     };
 
@@ -97,6 +101,8 @@ private:
     /// search covers the whole row — the from-scratch reference.
     [[nodiscard]] DepthProfile make_profile(CycleCount depth, const DepthProfile* deeper);
     [[nodiscard]] const std::vector<int>& order_for(DepthProfile& profile, ModuleOrder order);
+    /// A depth-independent order (by_volume, by_time): the table set's
+    /// once-built one, or with memoize off the engine's own sorted copy.
     [[nodiscard]] const std::vector<int>& shared_order(ModuleOrder order);
     [[nodiscard]] std::optional<Architecture> pack_uncached(CycleCount depth,
                                                             WireCount wire_budget,
@@ -107,10 +113,9 @@ private:
     PackStats stats_;
     std::unique_ptr<PackScratch> scratch_;
 
-    /// Depth-independent module orders (by_volume, by_time), built once
-    /// per engine; by_min_width depends on the per-depth minimal widths
-    /// and lives in each DepthProfile.
-    std::map<ModuleOrder, std::vector<int>> shared_orders_;
+    /// The from-scratch reference's own depth-independent orders
+    /// (memoize off only); memoized engines read the table set's.
+    std::map<ModuleOrder, std::vector<int>> reference_orders_;
 
     std::map<CycleCount, DepthProfile> profiles_;
     std::map<std::pair<CycleCount, WireCount>, std::optional<Architecture>> packs_;

@@ -1,6 +1,7 @@
 #include "core/solution.hpp"
 
-#include <unordered_set>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -29,9 +30,11 @@ void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& 
         throw ValidationError("solution exceeds the ATE vector memory depth");
     }
 
-    // Architecture consistency.
+    // Architecture consistency. Coverage by module index, one counter
+    // per SOC module (the idiom of Architecture::validate); the name
+    // check ties each entry's index to the module the reports print.
     WireCount wires = 0;
-    std::unordered_set<std::string> assigned;
+    std::vector<int> seen(static_cast<std::size_t>(soc.module_count()), 0);
     for (const GroupSummary& group : solution.groups) {
         if (group.channels != channels_from_wires(group.wires)) {
             throw ValidationError("group channel count is not twice its wire count");
@@ -39,9 +42,19 @@ void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& 
         if (group.fill > ate.vector_memory_depth) {
             throw ValidationError("group fill exceeds the vector memory depth");
         }
+        if (group.module_indices.size() != group.module_names.size()) {
+            throw ValidationError("group module names and indices differ in length");
+        }
         wires += group.wires;
-        for (const std::string& name : group.module_names) {
-            if (!assigned.insert(name).second) {
+        for (std::size_t i = 0; i < group.module_indices.size(); ++i) {
+            const int index = group.module_indices[i];
+            const std::string& name = group.module_names[i];
+            if (index < 0 || index >= soc.module_count() || soc.module(index).name() != name) {
+                throw ValidationError("solution wraps module '" + name +
+                                      "', which is not the SOC's module " +
+                                      std::to_string(index));
+            }
+            if (++seen[static_cast<std::size_t>(index)] > 1) {
                 throw ValidationError("module '" + name + "' assigned to two groups");
             }
         }
@@ -49,13 +62,11 @@ void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& 
     if (channels_from_wires(wires) != solution.channels_per_site) {
         throw ValidationError("group widths do not add up to the per-site channel count");
     }
-    for (const Module& m : soc.modules()) {
-        if (assigned.count(m.name()) == 0) {
-            throw ValidationError("module '" + m.name() + "' is not assigned to any group");
+    for (std::size_t m = 0; m < seen.size(); ++m) {
+        if (seen[m] == 0) {
+            throw ValidationError("module '" + soc.module(static_cast<int>(m)).name() +
+                                  "' is not assigned to any group");
         }
-    }
-    if (assigned.size() != static_cast<std::size_t>(soc.module_count())) {
-        throw ValidationError("solution wraps modules that are not in the SOC");
     }
 
     // E-RPCT interface consistency.

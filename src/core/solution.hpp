@@ -32,12 +32,15 @@ struct OptimizerStats {
 };
 
 /// Snapshot of one channel group, detached from the internal tables so a
-/// Solution owns its data.
+/// Solution owns its data. Entry i of the two module lists names the
+/// same member: `module_indices[i]` is its index in the SOC and
+/// `module_names[i]` its name there, the one the reports print.
 struct GroupSummary {
     WireCount wires = 0;
     ChannelCount channels = 0;
     CycleCount fill = 0;
     std::vector<std::string> module_names;
+    std::vector<int> module_indices;
 };
 
 /// Outcome of the optional exact branch-and-bound pass over the Step-1
@@ -106,7 +109,11 @@ struct Solution {
 
 /// Cross-check a solution against the problem constraints (Section 5:
 /// n*k <= K [or the broadcast variant], fill <= D, every module wrapped).
-/// Throws ValidationError on violation.
+/// Coverage is checked by module index, one counter per SOC module: every
+/// group entry's index must be in range and name the entry's module
+/// (soc.module(index).name() == name), and every module must sit in
+/// exactly one group. A duplicate, missing or foreign module is rejected
+/// without hashing a name. Throws ValidationError on violation.
 void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& ate,
                        BroadcastMode broadcast);
 

@@ -1,14 +1,22 @@
-// Unit tests for SocTimeTables and ChannelGroup: fills, widening, and
-// the minimal-widening query.
+// Unit tests for SocTimeTables and ChannelGroup: fills, widening, the
+// minimal-widening query, and the table set's once-built module orders.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <numeric>
 #include <optional>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "arch/channel_group.hpp"
 #include "common/error.hpp"
+#include "shm/store.hpp"
 #include "soc/generator.hpp"
+#include "soc/profiles.hpp"
 #include "soc/soc.hpp"
 #include "wrapper/wrapper_design.hpp"
 
@@ -187,6 +195,118 @@ TEST(SocTimeTables, SeededMinWidthSearchMatchesFullSearch)
             }
         }
     }
+}
+
+/// Module indices stably sorted with the greedy orders' comparators:
+/// decreasing volume, or decreasing single-wire time; ties by index.
+std::vector<int> stable_sorted_modules(const SocTimeTables& tables, bool by_volume)
+{
+    std::vector<int> indices(static_cast<std::size_t>(tables.module_count()));
+    std::iota(indices.begin(), indices.end(), 0);
+    if (by_volume) {
+        std::stable_sort(indices.begin(), indices.end(), [&](int a, int b) {
+            return tables.volume_bits(a) > tables.volume_bits(b);
+        });
+    } else {
+        std::stable_sort(indices.begin(), indices.end(), [&](int a, int b) {
+            return tables.time(a, 1) > tables.time(b, 1);
+        });
+    }
+    return indices;
+}
+
+void expect_reference_orders(const SocTimeTables& tables, const std::string& label)
+{
+    EXPECT_EQ(tables.volume_order(), stable_sorted_modules(tables, true)) << label;
+    EXPECT_EQ(tables.time_order(), stable_sorted_modules(tables, false)) << label;
+    // Built once: every later call reads the same vector.
+    EXPECT_EQ(&tables.volume_order(), &tables.volume_order()) << label;
+    EXPECT_EQ(&tables.time_order(), &tables.time_order()) << label;
+}
+
+TEST(SocTimeTables, ModuleOrdersMatchStableSortOnRandomSocs)
+{
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        const Soc soc = random_soc(seed, 40);
+        const SocTimeTables tables(soc);
+        expect_reference_orders(tables, "random_soc seed " + std::to_string(seed));
+    }
+}
+
+TEST(SocTimeTables, ModuleOrdersMatchStableSortOnBenchmarkSocs)
+{
+    for (const std::string& name : benchmark_soc_names()) {
+        const Soc soc = make_benchmark_soc(name);
+        const SocTimeTables tables(soc);
+        expect_reference_orders(tables, name);
+    }
+}
+
+TEST(SocTimeTables, ModuleOrdersMatchStableSortOnScaledShapes)
+{
+    for (const ScaledShape shape :
+         {ScaledShape::classic, ScaledShape::wide_shallow, ScaledShape::narrow_deep}) {
+        const Soc soc = generate_soc(scaled_benchmark_config("gen100x", 1000, shape));
+        const SocTimeTables tables(soc);
+        expect_reference_orders(tables, "shape " + std::to_string(static_cast<int>(shape)));
+    }
+}
+
+TEST(SocTimeTables, RestoredTablesBuildTheSameOrders)
+{
+    const Soc soc = make_benchmark_soc("p93791");
+    const SocTimeTables built(soc);
+    std::unique_ptr<SocTimeTables> restored =
+        shm::ShmStore::decode_tables(shm::ShmStore::encode_tables(built), soc);
+    ASSERT_NE(restored, nullptr);
+    expect_reference_orders(*restored, "restored p93791");
+    EXPECT_EQ(restored->volume_order(), built.volume_order());
+    EXPECT_EQ(restored->time_order(), built.time_order());
+
+    // A move (as the serve tables cache does with a restored set) carries
+    // the built orders along instead of rebuilding them.
+    const std::vector<int>* by_volume = &restored->volume_order();
+    const SocTimeTables moved(std::move(*restored));
+    EXPECT_EQ(&moved.volume_order(), by_volume);
+    expect_reference_orders(moved, "moved p93791");
+}
+
+TEST(SocTimeTables, ConcurrentFirstCallsShareOneOrder)
+{
+    const Soc soc = generate_soc(scaled_benchmark_config("gen300x", 3000,
+                                                         ScaledShape::narrow_deep));
+    const SocTimeTables tables(soc);
+    constexpr int threads = 8;
+    std::vector<const std::vector<int>*> by_volume(threads, nullptr);
+    std::vector<const std::vector<int>*> by_time(threads, nullptr);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            // Start together, so the first calls race.
+            ready.fetch_add(1);
+            while (ready.load() < threads) {
+                std::this_thread::yield();
+            }
+            // Half the threads ask for the time order first.
+            if (t % 2 == 0) {
+                by_volume[t] = &tables.volume_order();
+                by_time[t] = &tables.time_order();
+            } else {
+                by_time[t] = &tables.time_order();
+                by_volume[t] = &tables.volume_order();
+            }
+        });
+    }
+    for (std::thread& thread : pool) {
+        thread.join();
+    }
+    for (int t = 0; t < threads; ++t) {
+        EXPECT_EQ(by_volume[t], by_volume[0]) << "thread " << t;
+        EXPECT_EQ(by_time[t], by_time[0]) << "thread " << t;
+    }
+    EXPECT_EQ(*by_volume[0], stable_sorted_modules(tables, true));
+    EXPECT_EQ(*by_time[0], stable_sorted_modules(tables, false));
 }
 
 TEST(ChannelGroup, MinWideningReturnsZeroWhenHopeless)

@@ -2,6 +2,8 @@
 // option variants, and solution consistency.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "core/optimizer.hpp"
 #include "soc/d695.hpp"
@@ -150,6 +152,42 @@ TEST(Optimizer, ValidateSolutionCatchesTampering)
     broken.erpct.external_channels += 2;
     EXPECT_THROW(validate_solution(broken, make_d695(), cell.ate, BroadcastMode::none),
                  ValidationError);
+
+    // Coverage is checked by module index, each entry tied to its name.
+    const Soc soc = make_d695();
+    ASSERT_GE(solution.groups.size(), 2u);
+    const auto rejects = [&](const Solution& tampered) {
+        EXPECT_THROW(validate_solution(tampered, soc, cell.ate, BroadcastMode::none),
+                     ValidationError);
+    };
+
+    // A module listed in a second group as well.
+    broken = solution;
+    broken.groups[1].module_indices.push_back(broken.groups[0].module_indices[0]);
+    broken.groups[1].module_names.push_back(broken.groups[0].module_names[0]);
+    rejects(broken);
+
+    // Entries whose name is not their module's: two names swapped across
+    // groups (every index still covered once), and a name not in the SOC.
+    broken = solution;
+    std::swap(broken.groups[0].module_names[0], broken.groups[1].module_names[0]);
+    rejects(broken);
+    broken = solution;
+    broken.groups[0].module_names[0] = "ghost";
+    rejects(broken);
+
+    // Indices outside the SOC.
+    broken = solution;
+    broken.groups[0].module_indices[0] = soc.module_count();
+    rejects(broken);
+    broken = solution;
+    broken.groups[0].module_indices[0] = -1;
+    rejects(broken);
+
+    // Names and indices of different lengths.
+    broken = solution;
+    broken.groups[0].module_names.push_back(broken.groups[0].module_names[0]);
+    rejects(broken);
 }
 
 /// All eight broadcast x abort x retest combinations on one SOC.
