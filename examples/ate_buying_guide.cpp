@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "ate/cost.hpp"
-#include "batch/batch_runner.hpp"
 #include "common/format.hpp"
 #include "report/table.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "scenario/scenario_spec.hpp"
 
 namespace {
@@ -72,10 +72,11 @@ int main(int argc, char** argv)
         upgrade_cell("C: split", base.channels + half_extra, half_depth),
     };
     spec.variants.push_back({"plain", {}});
-    const std::vector<BatchResult> results = run_batch(expand(spec));
-    for (const BatchResult& result : results) {
-        if (!result.ok()) {
-            std::cerr << result.label << ": " << result.error << '\n';
+    const std::vector<Scenario> scenarios = expand(spec);
+    const std::vector<ScenarioResult> results = run_scenarios(scenarios);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (!results[i].ok()) {
+            std::cerr << scenarios[i].name << ": " << results[i].error << '\n';
             return 1;
         }
     }

@@ -4,15 +4,15 @@
 //
 // The grid is one declarative ScenarioSpec (SOC sources x named cells x
 // one broadcast variant); expand() produces the 16 scenarios in
-// soc-major order and run_batch fans them out across a thread pool.
+// soc-major order and run_scenarios fans them out across a thread pool.
 // Results come back in input order, so the report reads them off grid
 // position.
 #include <iostream>
 #include <vector>
 
-#include "batch/batch_runner.hpp"
 #include "common/format.hpp"
 #include "report/table.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "scenario/scenario_spec.hpp"
 
 int main()
@@ -50,14 +50,14 @@ int main()
     broadcast.options.broadcast = BroadcastMode::stimuli;
     spec.variants.push_back(broadcast);
 
-    const std::vector<BatchResult> results = run_batch(expand(spec));
+    const std::vector<ScenarioResult> results = run_scenarios(expand(spec));
 
     std::size_t slot = 0;
     for (const std::string& soc_name : soc_names) {
         std::cout << "=== " << soc_name << " ===\n";
         Table table({"tester", "k/site", "n_opt", "t_m", "D_th"});
         for (std::size_t t = 0; t < testers.size(); ++t, ++slot) {
-            const BatchResult& result = results[slot];
+            const ScenarioResult& result = results[slot];
             if (!result.ok()) {
                 table.add_row({testers[t].name, "-", "-", "-", result.error});
                 continue;

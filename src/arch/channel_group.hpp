@@ -65,7 +65,7 @@ using TableArray = std::vector<T, DefaultInitAllocator<T>>;
 /// one exception: the two depth-independent module orders
 /// (volume_order(), time_order()) are built on first use, each at most
 /// once per table set under std::call_once. So one instance can be
-/// shared freely across threads (BatchRunner builds one per distinct
+/// shared freely across threads (run_scenarios builds one per distinct
 /// SOC and hands it to every scenario of that SOC; serve's tables cache
 /// hands one to every request): concurrent first calls build an order
 /// once, and every caller reads the same vector.

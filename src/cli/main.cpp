@@ -27,9 +27,9 @@
 
 #include "arch/channel_group.hpp"
 #include "ate/ate.hpp"
-#include "batch/batch_runner.hpp"
 #include "cli/flags.hpp"
 #include "common/error.hpp"
+#include "common/executor.hpp"
 #include "common/faultpoint.hpp"
 #include "common/format.hpp"
 #include "core/optimizer.hpp"
@@ -43,6 +43,7 @@
 #include "report/gantt.hpp"
 #include "report/solution_json.hpp"
 #include "report/table.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "scenario/sweep.hpp"
 #include "service/prefork.hpp"
@@ -276,14 +277,13 @@ int cmd_batch(const Flags& flags)
     spec.variants.push_back(std::move(variant));
 
     const std::vector<Scenario> scenarios = expand(spec);
-    const BatchRunner runner(threads);
-    const std::vector<BatchResult> results = runner.run(to_batch_scenarios(scenarios));
+    const std::vector<ScenarioResult> results = run_scenarios(scenarios, threads);
 
     if (flags.count("json") != 0) {
         std::cout << "[\n";
         for (std::size_t i = 0; i < results.size(); ++i) {
-            const BatchResult& result = results[i];
-            std::cout << "{ \"label\": \"" << json_escape(result.label) << "\", ";
+            const ScenarioResult& result = results[i];
+            std::cout << "{ \"label\": \"" << json_escape(scenarios[i].name) << "\", ";
             if (result.ok()) {
                 std::cout << "\"solution\": " << solution_to_json(*result.solution);
             } else {
@@ -297,25 +297,26 @@ int cmd_batch(const Flags& flags)
 
     Table table({"scenario", "k/site", "n_opt", "t_m", "D_th"});
     int failures = 0;
-    for (const BatchResult& result : results) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const ScenarioResult& result = results[i];
         if (result.ok()) {
             const Solution& s = *result.solution;
-            table.add_row({result.label, std::to_string(s.channels_per_site),
+            table.add_row({scenarios[i].name, std::to_string(s.channels_per_site),
                            std::to_string(s.sites), format_seconds(s.manufacturing_time),
                            format_throughput(s.best_throughput())});
         } else {
             // Infeasibility is an expected grid outcome; anything else
             // surfaces its message so the row is diagnosable on its own.
-            const std::string what = result.error_kind == BatchErrorKind::infeasible
+            const std::string what = result.error_kind == SweepErrorKind::infeasible
                                          ? "infeasible"
                                          : "error: " + result.error;
-            table.add_row({result.label, "-", "-", "-", what});
+            table.add_row({scenarios[i].name, "-", "-", "-", what});
             ++failures;
         }
     }
     std::cout << table;
     std::cout << '\n' << results.size() << " scenarios on "
-              << runner.thread_count(scenarios.size()) << " threads";
+              << resolve_thread_count(threads, scenarios.size()) << " threads";
     if (failures != 0) {
         std::cout << ", " << failures << " not solvable";
     }

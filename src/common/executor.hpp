@@ -1,5 +1,5 @@
 // Process-wide task executor: one lazily-started thread pool shared by
-// every parallel surface of the library (BatchRunner scenario fan-out,
+// every parallel surface of the library (run_scenarios fan-out,
 // RequestService request fan-out, SocTimeTables construction, the
 // exact solver's subtree waves, `mst bench`).
 //
@@ -41,7 +41,7 @@ namespace mst {
 /// Resolve a user-configured thread count for `jobs` work items:
 /// `configured` <= 0 selects hardware_concurrency; the result is at
 /// least 1 and never more than there are jobs (an empty job list
-/// reports 0). Shared by BatchRunner and RequestService so both
+/// reports 0). Shared by run_scenarios and RequestService so both
 /// surfaces pick fan-out widths identically.
 [[nodiscard]] inline int resolve_thread_count(int configured, std::size_t jobs) noexcept
 {

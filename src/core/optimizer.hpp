@@ -29,9 +29,9 @@ namespace mst {
 
 /// Same optimization over prebuilt wrapper time tables. Building
 /// SocTimeTables dominates the pipeline's wall time, so callers running
-/// many scenarios against one SOC (BatchRunner, the bench harness, the
-/// CLI's Gantt rendering) construct the tables once and reuse them; the
-/// tables are immutable and safe to share across threads.
+/// many scenarios against one SOC (batch and sweep, the bench harness,
+/// the CLI's Gantt rendering) construct the tables once and reuse them;
+/// the tables are immutable and safe to share across threads.
 [[nodiscard]] Solution optimize_multi_site(const SocTimeTables& tables,
                                            const TestCell& cell,
                                            const OptimizeOptions& options = {});

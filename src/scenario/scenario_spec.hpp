@@ -113,7 +113,7 @@ struct ScenarioSpec {
 
 /// One concrete scenario of an expanded spec. This is the shape every
 /// runner consumes: the bench suite's BenchCase is an alias of it, and
-/// batch/sweep execution converts it directly.
+/// run_scenario (scenario_runner.hpp) executes it for batch and sweep.
 struct Scenario {
     std::string name;     ///< "<soc>/<cell>/<variant>"
     std::string soc_name; ///< SOC source label

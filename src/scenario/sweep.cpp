@@ -11,6 +11,7 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -21,8 +22,8 @@
 #include "common/faultpoint.hpp"
 #include "common/signals.hpp"
 #include "common/supervisor.hpp"
-#include "core/optimizer.hpp"
 #include "report/solution_json.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "scenario/sweep_records.hpp"
 
 namespace mst {
@@ -69,40 +70,46 @@ std::optional<ShardFile> load_checkpoint(const std::string& out_dir, int shard, 
     return file;
 }
 
-SweepRecord run_one(const Scenario& scenario, std::uint32_t index, int threads)
+/// Run one scenario through the shared per-scenario step. `tables` is
+/// the process's table sets, one per distinct Soc, built on first use;
+/// the first scenario of each SOC therefore pays for the build in its
+/// wall time.
+SweepRecord run_one(const Scenario& scenario, std::uint32_t index, int threads,
+                    std::map<const Soc*, SharedTables>& tables)
 {
     SweepRecord record;
     record.index = index;
-    OptimizeOptions options = scenario.options;
-    options.threads = threads;
+    Scenario job = scenario;
+    job.options.threads = threads;
 
     Stopwatch stopwatch;
-    try {
-        const Solution solution = optimize_multi_site(*scenario.soc, scenario.cell, options);
-        record.ok = true;
-        record.sites = static_cast<std::uint32_t>(solution.sites);
-        record.channels_per_site = static_cast<std::uint32_t>(solution.channels_per_site);
-        record.test_cycles = static_cast<std::uint64_t>(solution.test_cycles);
-        record.devices_per_hour = solution.throughput.devices_per_hour;
-        record.pack_calls = static_cast<std::uint64_t>(solution.stats.packing.pack_calls);
-        record.pack_cache_hits =
-            static_cast<std::uint64_t>(solution.stats.packing.pack_cache_hits);
-        record.greedy_passes = static_cast<std::uint64_t>(solution.stats.packing.greedy_passes);
-        record.depth_profiles =
-            static_cast<std::uint64_t>(solution.stats.packing.depth_profiles);
-        record.pruned_packs = static_cast<std::uint64_t>(solution.stats.packing.pruned_packs);
-        record.site_points = static_cast<std::uint64_t>(solution.stats.site_points);
-    } catch (const InfeasibleError& error) {
-        record.error_kind = SweepErrorKind::infeasible;
-        record.error = error.what();
-    } catch (const ValidationError& error) {
-        record.error_kind = SweepErrorKind::validation;
-        record.error = error.what();
-    } catch (const std::exception& error) {
-        record.error_kind = SweepErrorKind::other;
-        record.error = error.what();
+    const SharedTables* shared = nullptr;
+    if (const Soc* soc = scenario.soc.get(); soc != nullptr) {
+        auto slot = tables.find(soc);
+        if (slot == tables.end()) {
+            slot = tables.emplace(soc, build_shared_tables(*soc, threads)).first;
+        }
+        shared = &slot->second;
     }
+    const ScenarioResult result = run_scenario(job, shared);
     record.wall_ns = static_cast<std::uint64_t>(stopwatch.elapsed() * 1e9);
+    if (!result.ok()) {
+        record.error_kind = result.error_kind;
+        record.error = result.error;
+        return record;
+    }
+    const Solution& solution = *result.solution;
+    record.ok = true;
+    record.sites = static_cast<std::uint32_t>(solution.sites);
+    record.channels_per_site = static_cast<std::uint32_t>(solution.channels_per_site);
+    record.test_cycles = static_cast<std::uint64_t>(solution.test_cycles);
+    record.devices_per_hour = solution.throughput.devices_per_hour;
+    record.pack_calls = static_cast<std::uint64_t>(solution.stats.packing.pack_calls);
+    record.pack_cache_hits = static_cast<std::uint64_t>(solution.stats.packing.pack_cache_hits);
+    record.greedy_passes = static_cast<std::uint64_t>(solution.stats.packing.greedy_passes);
+    record.depth_profiles = static_cast<std::uint64_t>(solution.stats.packing.depth_profiles);
+    record.pruned_packs = static_cast<std::uint64_t>(solution.stats.packing.pruned_packs);
+    record.site_points = static_cast<std::uint64_t>(solution.stats.site_points);
     return record;
 }
 
@@ -126,9 +133,11 @@ SweepRecord quarantine_record(std::uint32_t index)
 /// tripped mid-shard (the file is left without a trailer, exactly like
 /// a killed process would). `current` tracks the scenario in flight so
 /// an inline caller can identify the poison after a thrown
-/// checkpoint-write failure.
+/// checkpoint-write failure. `tables` is the process's table-set map
+/// (see run_one).
 bool run_shard(const std::vector<Scenario>& scenarios, const std::string& out_dir, int shard,
-               int shards, std::uint64_t spec_fingerprint, int threads, std::uint32_t attempt,
+               int shards, std::uint64_t spec_fingerprint, int threads,
+               std::map<const Soc*, SharedTables>& tables, std::uint32_t attempt,
                const std::set<std::uint32_t>& quarantined, std::size_t abort_after_records,
                std::size_t& written_total, std::optional<std::uint32_t>* current = nullptr)
 {
@@ -159,7 +168,7 @@ bool run_shard(const std::vector<Scenario>& scenarios, const std::string& out_di
             ++written_total;
             continue;
         }
-        writer.write(run_one(scenarios[index], index, threads));
+        writer.write(run_one(scenarios[index], index, threads, tables));
         ++written_total;
     }
     writer.finish();
@@ -311,6 +320,10 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
 
     SweepOutcome outcome;
     outcome.scenario_count = scenarios.size();
+    // One table set per distinct SOC in this process, built on first
+    // use. The supervisor does no scenario work, so each forked worker
+    // starts from this empty map and builds once per SOC it meets.
+    std::map<const Soc*, SharedTables> tables;
     outcome.report_path = options.out_dir + "/report.json";
 
     const auto checkpoint = [&](int shard) {
@@ -410,8 +423,9 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
                     [&] {
                         std::size_t written = 0;
                         run_shard(scenarios, options.out_dir, shard, shards, spec_fingerprint,
-                                  options.threads, static_cast<std::uint32_t>(retry.attempts),
-                                  retry.quarantined, 0, written);
+                                  options.threads, tables,
+                                  static_cast<std::uint32_t>(retry.attempts), retry.quarantined,
+                                  0, written);
                         return 0;
                     },
                     supervisor::ChildSignals::reset);
@@ -470,8 +484,8 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
                     fault::set_attempt(attempt);
                     const bool finished = run_shard(
                         scenarios, options.out_dir, shard, shards, spec_fingerprint,
-                        options.threads, static_cast<std::uint32_t>(attempt), retry.quarantined,
-                        options.abort_after_records, written, &current);
+                        options.threads, tables, static_cast<std::uint32_t>(attempt),
+                        retry.quarantined, options.abort_after_records, written, &current);
                     if (!finished) {
                         fault::set_attempt(0);
                         outcome.aborted = true;

@@ -9,6 +9,12 @@
 // W > 1 workers a supervisor forks one worker process per pending
 // shard (at most W in flight) and watches each of them.
 //
+// Each scenario runs through the scenario layer's per-scenario step
+// (scenario_runner.hpp) under its table-sharing rule: one table set
+// per distinct Soc per process, built on first use. An inline run
+// builds each SOC once across all shards; a forked worker builds once
+// per SOC its shard meets.
+//
 // Supervision runs on common/supervisor (docs/robustness.md). Every
 // scenario is preceded by a heartbeat record in the shard file: the
 // file's growth is the watchdog's progress signal, and the trail names
@@ -26,7 +32,8 @@
 // kill/resume cycles of the same spec. Latency (per-shard and total
 // p50/p95/p99 over per-scenario wall times) is returned in the
 // SweepOutcome for the CLI to print, and is explicitly outside the
-// determinism contract.
+// determinism contract. A scenario's wall time includes the table
+// build only when it is the first scenario of its SOC in the process.
 #pragma once
 
 #include <cstddef>

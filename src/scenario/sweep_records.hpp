@@ -39,8 +39,8 @@
 
 namespace mst {
 
-/// Error classification of a failed sweep scenario (mirrors
-/// BatchErrorKind, pinned to stable wire values).
+/// Error classification of a failed scenario, as run_scenario
+/// (scenario_runner.hpp) reports it; pinned to stable wire values.
 enum class SweepErrorKind : std::uint8_t {
     infeasible = 1,   ///< InfeasibleError: no solution on the given cell
     validation = 2,   ///< ValidationError: malformed scenario

@@ -4,7 +4,6 @@
 #include <ostream>
 #include <system_error>
 
-#include "batch/batch_runner.hpp"
 #include "common/executor.hpp"
 #include "common/faultpoint.hpp"
 #include "core/optimizer.hpp"
@@ -49,9 +48,9 @@ std::shared_ptr<const ResolvedSoc> RequestService::resolve(const protocol::Reque
                                     "injected fault: SOC resolution failed");
         }
         auto resolved = std::make_shared<ResolvedSoc>();
-        resolved->soc = share_soc(request.inline_soc
-                                      ? parse_soc_string(request.soc_text, "<request>")
-                                      : load_soc_spec(request.soc_spec));
+        resolved->soc = std::make_shared<const Soc>(
+            request.inline_soc ? parse_soc_string(request.soc_text, "<request>")
+                               : load_soc_spec(request.soc_spec));
         resolved->fingerprint = soc_fingerprint(*resolved->soc);
         resolved->fingerprint_text = fingerprint_hex(resolved->fingerprint);
         return resolved;

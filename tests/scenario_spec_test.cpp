@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "batch/batch_runner.hpp"
 #include "common/error.hpp"
 #include "scenario/scenario_spec.hpp"
 
@@ -230,23 +229,6 @@ TEST(ScenarioSpecSource, GeneratorAndRandomHonorModuleCounts)
     EXPECT_EQ(SocSource::generated("gen10x", 100, ScaledShape::classic).resolve().module_count(),
               100);
     EXPECT_EQ(SocSource::random("r31", 31, 14).resolve().module_count(), 14);
-}
-
-TEST(ScenarioSpecBatch, ToBatchScenariosKeepsNamesAndSocs)
-{
-    ScenarioSpec spec;
-    spec.socs.push_back(SocSource::random("r17", 17, 8));
-    CellPoint cell;
-    cell.cell.ate.channels = 128;
-    spec.cells = {cell};
-    spec.variants.push_back({"plain", {}});
-
-    const std::vector<Scenario> scenarios = expand(spec);
-    const std::vector<BatchScenario> batch = to_batch_scenarios(scenarios);
-    ASSERT_EQ(batch.size(), scenarios.size());
-    EXPECT_EQ(batch[0].label, scenarios[0].name);
-    EXPECT_EQ(batch[0].soc.get(), scenarios[0].soc.get());
-    EXPECT_EQ(batch[0].cell.ate.channels, 128);
 }
 
 TEST(ScenarioSpecFingerprint, StableAndNameSensitive)

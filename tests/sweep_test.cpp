@@ -18,6 +18,8 @@
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
 #include "common/signals.hpp"
+#include "service/json.hpp"
+#include "scenario/scenario_runner.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "scenario/sweep.hpp"
 #include "scenario/sweep_records.hpp"
@@ -144,6 +146,85 @@ TEST(Sweep, WritesReportAndShardCheckpoints)
     // Nothing non-deterministic leaks into the report.
     EXPECT_EQ(report.find("wall"), std::string::npos);
     EXPECT_EQ(report.find("shard"), std::string::npos);
+}
+
+TEST(Sweep, ScenarioWithoutSocBecomesValidationRecord)
+{
+    const TempDir dir;
+    std::vector<Scenario> scenarios = {small_scenarios().front(), Scenario{}};
+    scenarios[1].name = "null-soc";
+    const SweepOutcome outcome = run_sweep("sweep-test", scenarios, options_for(dir.path(), 1, 1));
+
+    EXPECT_EQ(outcome.failed, 1u);
+    const JsonValue report = JsonValue::parse(read_file(outcome.report_path));
+    const std::vector<JsonValue>& entries = report.find("scenarios")->as_array();
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_TRUE(entries[0].find("ok")->as_bool());
+    EXPECT_FALSE(entries[1].find("ok")->as_bool());
+    EXPECT_EQ(entries[1].find("error_kind")->as_string(), "validation");
+    EXPECT_NE(entries[1].find("error")->as_string().find("no SOC"), std::string::npos);
+}
+
+TEST(Sweep, ReportAgreesWithScenarioRunner)
+{
+    // The sweep reuses one table set per SOC across its shard loop;
+    // run_scenarios builds its own. Both must report the same results,
+    // on small SOCs and on a 3000-module narrow-deep one.
+    std::vector<Scenario> scenarios = small_scenarios();
+    ScenarioSpec deep;
+    deep.socs.push_back(SocSource::generated("gen300x-deep", 3000, ScaledShape::narrow_deep));
+    CellPoint cell;
+    cell.cell.ate.channels = 512;
+    cell.cell.ate.vector_memory_depth = 7 * mebi;
+    deep.cells = {cell};
+    deep.variants.push_back({"plain", {}});
+    for (Scenario& scenario : expand(deep)) {
+        scenarios.push_back(std::move(scenario));
+    }
+    const std::vector<ScenarioResult> expected = run_scenarios(scenarios, 1);
+    ASSERT_TRUE(expected.back().ok()) << expected.back().error;
+
+    for (const int shards : {1, 3}) {
+        const TempDir dir;
+        const SweepOutcome outcome =
+            run_sweep("sweep-test", scenarios, options_for(dir.path(), shards, 1));
+        const JsonValue report = JsonValue::parse(read_file(outcome.report_path));
+        const std::vector<JsonValue>& entries = report.find("scenarios")->as_array();
+        ASSERT_EQ(entries.size(), scenarios.size());
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            const JsonValue& entry = entries[i];
+            const ScenarioResult& result = expected[i];
+            SCOPED_TRACE("shards=" + std::to_string(shards) + " " + scenarios[i].name);
+            ASSERT_EQ(entry.find("ok")->as_bool(), result.ok());
+            if (!result.ok()) {
+                EXPECT_EQ(entry.find("error_kind")->as_string(),
+                          sweep_error_kind_name(result.error_kind));
+                EXPECT_EQ(entry.find("error")->as_string(), result.error);
+                continue;
+            }
+            const Solution& solution = *result.solution;
+            const JsonValue& fingerprint = *entry.find("fingerprint");
+            EXPECT_EQ(fingerprint.find("sites")->as_int(), solution.sites);
+            EXPECT_EQ(fingerprint.find("channels_per_site")->as_int(),
+                      solution.channels_per_site);
+            EXPECT_EQ(fingerprint.find("test_cycles")->as_int(), solution.test_cycles);
+            char devices_per_hour[32];
+            std::snprintf(devices_per_hour, sizeof devices_per_hour, "%.6g",
+                          solution.throughput.devices_per_hour);
+            EXPECT_EQ(fingerprint.find("devices_per_hour")->as_number(),
+                      std::stod(devices_per_hour));
+            const JsonValue& stats = *entry.find("optimizer_stats");
+            EXPECT_EQ(stats.find("pack_calls")->as_int(), solution.stats.packing.pack_calls);
+            EXPECT_EQ(stats.find("pack_cache_hits")->as_int(),
+                      solution.stats.packing.pack_cache_hits);
+            EXPECT_EQ(stats.find("greedy_passes")->as_int(),
+                      solution.stats.packing.greedy_passes);
+            EXPECT_EQ(stats.find("depth_profiles")->as_int(),
+                      solution.stats.packing.depth_profiles);
+            EXPECT_EQ(stats.find("pruned_packs")->as_int(), solution.stats.packing.pruned_packs);
+            EXPECT_EQ(stats.find("site_points")->as_int(), solution.stats.site_points);
+        }
+    }
 }
 
 TEST(Sweep, ReportBytesInvariantAcrossShardAndThreadCounts)
