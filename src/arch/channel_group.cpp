@@ -125,20 +125,26 @@ std::vector<int> sorted_modules(int count, Before before)
 
 const std::vector<int>& SocTimeTables::volume_order() const
 {
-    std::call_once(orders_->volume_built, [this] {
-        orders_->by_volume = sorted_modules(
+    std::call_once(built_->volume_built, [this] {
+        built_->by_volume = sorted_modules(
             module_count(), [this](int a, int b) { return volume_bits(a) > volume_bits(b); });
     });
-    return orders_->by_volume;
+    return built_->by_volume;
 }
 
 const std::vector<int>& SocTimeTables::time_order() const
 {
-    std::call_once(orders_->time_built, [this] {
-        orders_->by_time = sorted_modules(
+    std::call_once(built_->time_built, [this] {
+        built_->by_time = sorted_modules(
             module_count(), [this](int a, int b) { return time(a, 1) > time(b, 1); });
     });
-    return orders_->by_time;
+    return built_->by_time;
+}
+
+PackMemo& SocTimeTables::pack_memo() const
+{
+    std::call_once(built_->memo_built, [this] { built_->memo.emplace(module_count()); });
+    return *built_->memo;
 }
 
 ChannelGroup::ChannelGroup(WireCount width, const SocTimeTables& tables)
@@ -156,7 +162,7 @@ ChannelGroup::ChannelGroup(const ChannelGroup& other)
       stair_root_(other.width_ + 1)
 {
     // The staircase cache stays behind: copies are long-lived snapshots
-    // (Step-2 incumbents, memo entries) that rarely get queried beyond
+    // (Step-2 incumbents, Step-1 winners) that rarely get queried beyond
     // their width, and a dropped cache only costs a lazy rebuild.
 }
 

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "arch/pack_memo.hpp"
 #include "common/types.hpp"
 #include "soc/soc.hpp"
 #include "wrapper/pareto.hpp"
@@ -62,13 +63,19 @@ using TableArray = std::vector<T, DefaultInitAllocator<T>>;
 
 /// Precomputed width/time staircases for every module of an SOC.
 /// The SOC must outlive the tables. Immutable after construction, with
-/// one exception: the two depth-independent module orders
-/// (volume_order(), time_order()) are built on first use, each at most
-/// once per table set under std::call_once. So one instance can be
-/// shared freely across threads (run_scenarios builds one per distinct
-/// SOC and hands it to every scenario of that SOC; serve's tables cache
-/// hands one to every request): concurrent first calls build an order
-/// once, and every caller reads the same vector.
+/// two exceptions:
+///   * the two depth-independent module orders (volume_order(),
+///     time_order()) are built on first use, each at most once per table
+///     set under std::call_once: concurrent first calls build an order
+///     once, and every caller reads the same vector;
+///   * the pack memo (pack_memo()) is built the same way and then grows:
+///     every PackEngine over the set publishes the pack queries it
+///     answers, under the memo's one mutex, and reuses the ones other
+///     solves published. An answer never changes once published, so it
+///     reads the same at any thread count and in any solve order.
+/// So one instance can be shared freely across threads (run_scenarios
+/// builds one per distinct SOC and hands it to every scenario of that
+/// SOC; serve's tables cache hands one to every request).
 ///
 /// The tables are stored once, as flat structure-of-arrays blocks: module
 /// m owns entries [offsets_[m], offsets_[m + 1]) of the times, used-width
@@ -233,6 +240,10 @@ public:
     /// table set.
     [[nodiscard]] const std::vector<int>& time_order() const;
 
+    /// The table set's memo of answered pack queries (arch/pack_memo.hpp),
+    /// shared by every PackEngine over this set. Built on first use.
+    [[nodiscard]] PackMemo& pack_memo() const;
+
 private:
     /// Flat index of `module_index` at `width`, clamped into its row.
     /// Every index this can produce is materialized, which is what
@@ -264,16 +275,20 @@ private:
     TableArray<CycleCount> suffix_min_areas_;
     std::vector<std::int64_t> volumes_;
 
-    /// The once-built module orders. std::once_flag neither copies nor
-    /// moves, so they sit behind a pointer: the tables stay movable (the
-    /// serve tables cache moves a restored set into its entry).
-    struct ModuleOrders {
+    /// The once-built module orders and pack memo. std::once_flag and
+    /// the memo's mutex neither copy nor move, so they sit behind a
+    /// pointer: the tables stay movable (the serve tables cache moves a
+    /// restored set into its entry), and published memo answers keep
+    /// their addresses across the move.
+    struct OnFirstUse {
         std::once_flag volume_built;
         std::once_flag time_built;
+        std::once_flag memo_built;
         std::vector<int> by_volume;
         std::vector<int> by_time;
+        std::optional<PackMemo> memo;
     };
-    std::unique_ptr<ModuleOrders> orders_ = std::make_unique<ModuleOrders>();
+    std::unique_ptr<OnFirstUse> built_ = std::make_unique<OnFirstUse>();
 };
 
 /// One TAM / channel group.
@@ -292,7 +307,7 @@ private:
 ///
 /// The staircase is a cache with no observable effect on results; it is
 /// dropped on copy (copies are long-lived snapshots: Step-2 incumbents,
-/// PackEngine memo entries) and rebuilt lazily on demand. Lazy extension
+/// Step-1 winners) and rebuilt lazily on demand. Lazy extension
 /// mutates `const` objects under the hood, so a single ChannelGroup must
 /// not be queried from two threads at once; the packing engine gives
 /// every greedy pass its own architecture, which guarantees that.

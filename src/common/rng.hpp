@@ -60,6 +60,10 @@ inline constexpr std::uint64_t generator_random_soc = 5;
 /// base seed of the staircase / gallop-search random SOC population.
 inline constexpr std::uint64_t incremental_pack = 7100;
 
+/// Pack-memo sharing tests (tests/pack_memo_test.cpp): the two random
+/// SOCs of the solve grid.
+inline constexpr std::uint64_t pack_memo[] = {8101, 8102};
+
 } // namespace test_seeds
 
 } // namespace mst

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <numeric>
+#include <utility>
 
 #include "arch/best_fit_index.hpp"
 #include "arch/channel_group.hpp"
@@ -269,7 +271,6 @@ PackEngine::~PackEngine() = default;
 
 PackEngine::DepthProfile PackEngine::make_profile(CycleCount depth, const DepthProfile* deeper)
 {
-    ++stats_.depth_profiles;
     DepthProfile profile;
     if (deeper && !deeper->min_widths) {
         return profile; // a module fits no width even deeper: infeasible here too
@@ -329,51 +330,8 @@ const std::vector<int>& PackEngine::order_for(DepthProfile& profile, ModuleOrder
     return *profile.by_min_width;
 }
 
-std::optional<Architecture> PackEngine::pack_uncached(CycleCount depth,
-                                                      WireCount wire_budget,
-                                                      DepthProfile& profile)
+PackEngine::DepthProfile& PackEngine::profile_for(CycleCount depth)
 {
-    if (!profile.min_widths || profile.widest > wire_budget) {
-        return std::nullopt;
-    }
-    // Area-floor prune: no packing can occupy fewer wire-cycles than the
-    // per-depth floor, so a budget below floor / depth is infeasible
-    // without running any pass. Sound, hence byte-identical results.
-    if (profile.area_floor > static_cast<CycleCount>(wire_budget) * depth) {
-        ++stats_.pruned_packs;
-        return std::nullopt;
-    }
-
-    // The passes in the sequential preference order; the first that
-    // packs wins and no later pass runs.
-    const std::size_t passes =
-        options_.budget_search ? pass_orders.size() * pass_expansions.size() : 1;
-    for (std::size_t pass = 0; pass < passes; ++pass) {
-        ++stats_.greedy_passes;
-        std::optional<Architecture> packed = step1_pass(
-            *tables_, depth, wire_budget, *profile.min_widths,
-            order_for(profile, pass_orders[pass / pass_expansions.size()]),
-            pass_expansions[pass % pass_expansions.size()], *scratch_);
-        if (packed) {
-            return packed;
-        }
-    }
-    return std::nullopt;
-}
-
-std::optional<Architecture> PackEngine::pack_within(CycleCount depth, WireCount wire_budget)
-{
-    ++stats_.pack_calls;
-    if (!options_.memoize) {
-        DepthProfile fresh = make_profile(depth, nullptr);
-        return pack_uncached(depth, wire_budget, fresh);
-    }
-    const auto key = std::make_pair(depth, wire_budget);
-    const auto cached = packs_.find(key);
-    if (cached != packs_.end()) {
-        ++stats_.pack_cache_hits;
-        return cached->second;
-    }
     auto profile = profiles_.find(depth);
     if (profile == profiles_.end()) {
         const auto deeper = profiles_.upper_bound(depth);
@@ -383,9 +341,90 @@ std::optional<Architecture> PackEngine::pack_within(CycleCount depth, WireCount 
                                                               : &deeper->second))
                       .first;
     }
-    std::optional<Architecture> packed = pack_uncached(depth, wire_budget, profile->second);
-    packs_.emplace(key, packed);
-    return packed;
+    return profile->second;
+}
+
+PackEngine::Computed PackEngine::compute(CycleCount depth, WireCount wire_budget,
+                                         DepthProfile& profile)
+{
+    Computed computed;
+    if (!profile.min_widths || profile.widest > wire_budget) {
+        return computed;
+    }
+    // Area-floor prune: no packing can occupy fewer wire-cycles than the
+    // per-depth floor, so a budget below floor / depth is infeasible
+    // without running any pass. Sound, hence byte-identical results.
+    if (profile.area_floor > static_cast<CycleCount>(wire_budget) * depth) {
+        computed.pruned = true;
+        return computed;
+    }
+
+    // The passes in the sequential preference order; the first that
+    // packs wins and no later pass runs.
+    const std::size_t passes =
+        options_.budget_search ? pass_orders.size() * pass_expansions.size() : 1;
+    for (std::size_t pass = 0; pass < passes && !computed.packed; ++pass) {
+        ++computed.greedy_passes;
+        computed.packed = step1_pass(
+            *tables_, depth, wire_budget, *profile.min_widths,
+            order_for(profile, pass_orders[pass / pass_expansions.size()]),
+            pass_expansions[pass % pass_expansions.size()], *scratch_);
+    }
+    return computed;
+}
+
+void PackEngine::count_work(int greedy_passes, bool pruned) noexcept
+{
+    stats_.greedy_passes += greedy_passes;
+    stats_.pruned_packs += pruned ? 1 : 0;
+}
+
+std::optional<Architecture> PackEngine::pack_within(CycleCount depth, WireCount wire_budget)
+{
+    ++stats_.pack_calls;
+    if (!options_.memoize) {
+        ++stats_.depth_profiles;
+        DepthProfile fresh = make_profile(depth, nullptr);
+        Computed computed = compute(depth, wire_budget, fresh);
+        count_work(computed.greedy_passes, computed.pruned);
+        return std::move(computed.packed);
+    }
+    const auto unpack = [this](const PackAnswer& answer) -> std::optional<Architecture> {
+        if (!answer.packed()) {
+            return std::nullopt;
+        }
+        return answer.unpack(*tables_);
+    };
+    const auto key = std::make_pair(depth, wire_budget);
+    const auto next = answers_.lower_bound(key);
+    if (next != answers_.end() && next->first == key) {
+        ++stats_.pack_cache_hits;
+        return unpack(*next->second);
+    }
+    // A depth's first miss in this solve counts as its profile, whether
+    // the profile is built or a table-set answer spares the build.
+    const bool depth_seen = (next != answers_.end() && next->first.first == depth) ||
+                            (next != answers_.begin() && std::prev(next)->first.first == depth);
+    if (!depth_seen) {
+        ++stats_.depth_profiles;
+    }
+    PackMemo& memo = tables_->pack_memo();
+    const PackKey memo_key{depth, wire_budget, options_.budget_search};
+    if (const PackAnswer* shared = memo.find(memo_key)) {
+        count_work(shared->greedy_passes(), shared->pruned());
+        answers_.emplace_hint(next, key, shared);
+        return unpack(*shared);
+    }
+    Computed computed = compute(depth, wire_budget, profile_for(depth));
+    count_work(computed.greedy_passes, computed.pruned);
+    PackAnswer answer = computed.packed ? PackAnswer(*computed.packed, computed.greedy_passes)
+                                        : PackAnswer(computed.greedy_passes, computed.pruned);
+    const PackAnswer* resident = memo.publish(memo_key, std::move(answer));
+    if (resident == nullptr) {
+        resident = &own_answers_.emplace_back(std::move(answer));
+    }
+    answers_.emplace_hint(next, key, resident);
+    return std::move(computed.packed);
 }
 
 } // namespace mst

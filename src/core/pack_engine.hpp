@@ -2,25 +2,43 @@
 //
 // Step 1's criterion-1 budget search and Step 2's re-pack fallback both
 // query the greedy many times with repeating (virtual depth, wire
-// budget) pairs. PackEngine answers those queries through two layers:
+// budget) pairs, within one solve and across the solves of one table
+// set. PackEngine answers those queries through three layers:
 //
-//   * memoization — per depth: minimal widths, the by-minimal-width
-//     module order, and the per-depth area floor; per (depth, budget):
-//     the packed architecture (or infeasibility). The depth-independent
-//     orders (by volume, by single-wire time) are not the engine's: it
-//     reads the ones SocTimeTables builds once per table set, shared by
-//     every engine over that set. Pure caching, byte-identical results
-//     (tests/golden_fingerprint_test.cpp), off via OptimizeOptions::memoize;
-//     the unmemoized reference also sorts its own copy of both orders.
-//     A new depth profile starts from the nearest deeper one: minimal
-//     widths never shrink as the depth drops, so each module's search
-//     starts at its width there, one probe when the width holds. Same
-//     widths, far fewer table probes.
+//   * the per-solve map — each (depth, budget) this engine has answered,
+//     as a pointer to the answer. A repeat within the solve takes no
+//     lock and is what PackStats::pack_cache_hits counts.
+//   * the table set's pack memo (arch/pack_memo.hpp, one per
+//     SocTimeTables) — every query any solve over the set has answered:
+//     the outcome, the work that computed it, and the packing in compact
+//     form. A miss in the per-solve map reads it first; a query that
+//     must compute publishes its answer there. Per depth the engine
+//     keeps its own profile: minimal widths, the by-minimal-width module
+//     order and the per-depth area floor, built only when a query at
+//     that depth must compute. The depth-independent orders (by volume,
+//     by single-wire time) are the table set's, built once. A new depth
+//     profile starts from the nearest deeper one: minimal widths never
+//     shrink as the depth drops, so each module's search starts at its
+//     width there, one probe when the width holds. Same widths, far
+//     fewer table probes.
 //   * pruning — a (depth, budget) query whose per-depth area floor
 //     (sum of each module's minimum width*time rectangle at its minimal
 //     width, see SocTimeTables::min_area_from) exceeds budget * depth
 //     provably has no packing, so it is answered infeasible without
 //     running a single greedy pass.
+//
+// Both memo layers are pure caching, with byte-identical results
+// (tests/golden_fingerprint_test.cpp, tests/pack_memo_test.cpp), and
+// both are off with OptimizeOptions::memoize: the unmemoized reference
+// profiles every query from scratch, sorts its own copy of both orders,
+// and never reads or writes the table set's memo.
+//
+// Stats are per-solve logical work. A query answered from the table
+// set's memo adds the greedy passes and prune its answer recorded, and
+// a depth's first miss in the solve counts as a depth profile whether
+// or not the profile is built. So a solve's PackStats are the same
+// whatever other solves ran over the table set before, at any thread
+// count and in any order.
 //
 // An uncached query runs the fixed 3 x 3 plan of greedy passes, module
 // order major and expansion policy minor, in preference order — the
@@ -35,9 +53,11 @@
 //
 // Determinism: the engine runs on its caller's thread and never fans
 // out, so solutions AND stats are identical at any
-// OptimizeOptions::threads. One engine serves one thread at a time.
+// OptimizeOptions::threads. One engine serves one thread at a time;
+// engines on other threads may share its table set (and memo).
 #pragma once
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -45,6 +65,7 @@
 #include <vector>
 
 #include "arch/architecture.hpp"
+#include "arch/pack_memo.hpp"
 #include "core/pack_stats.hpp"
 #include "core/problem.hpp"
 
@@ -61,7 +82,8 @@ enum class ModuleOrder { by_min_width, by_volume, by_time };
 /// allocator. Defined in pack_engine.cpp.
 struct PackScratch;
 
-/// One optimization run's packing context: time tables + options + caches.
+/// One optimization run's packing context: time tables + options +
+/// per-solve caches.
 class PackEngine {
 public:
     PackEngine(const SocTimeTables& tables, const OptimizeOptions& options);
@@ -104,9 +126,20 @@ private:
     /// A depth-independent order (by_volume, by_time): the table set's
     /// once-built one, or with memoize off the engine's own sorted copy.
     [[nodiscard]] const std::vector<int>& shared_order(ModuleOrder order);
-    [[nodiscard]] std::optional<Architecture> pack_uncached(CycleCount depth,
-                                                            WireCount wire_budget,
-                                                            DepthProfile& profile);
+    /// The profile of `depth`, built on its first use from the nearest
+    /// deeper profile built so far.
+    [[nodiscard]] DepthProfile& profile_for(CycleCount depth);
+
+    /// One computed pack query: the packing, or nullopt, and the work.
+    struct Computed {
+        std::optional<Architecture> packed;
+        int greedy_passes = 0;
+        bool pruned = false;
+    };
+    [[nodiscard]] Computed compute(CycleCount depth, WireCount wire_budget,
+                                   DepthProfile& profile);
+    /// Count an answer's work as this solve's (see PackStats).
+    void count_work(int greedy_passes, bool pruned) noexcept;
 
     const SocTimeTables* tables_;
     OptimizeOptions options_;
@@ -118,7 +151,10 @@ private:
     std::map<ModuleOrder, std::vector<int>> reference_orders_;
 
     std::map<CycleCount, DepthProfile> profiles_;
-    std::map<std::pair<CycleCount, WireCount>, std::optional<Architecture>> packs_;
+    /// This solve's answered (depth, budget) queries: pointers into the
+    /// table set's memo, or into own_answers_ once that memo is full.
+    std::map<std::pair<CycleCount, WireCount>, const PackAnswer*> answers_;
+    std::deque<PackAnswer> own_answers_;
 };
 
 } // namespace mst

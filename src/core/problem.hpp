@@ -45,9 +45,12 @@ struct OptimizeOptions {
 
     /// Memoize repeated packing work (per-depth minimal widths and module
     /// orders, per-(depth, budget) greedy results) across the Step-1
-    /// budget search and Step-2 re-pack scans. Pure caching: solutions
-    /// are byte-identical either way (golden fingerprint tests). Disable
-    /// to measure the from-scratch baseline with `mst bench --compare`.
+    /// budget search and Step-2 re-pack scans, and share the greedy
+    /// results with every solve over the same table set (its pack memo).
+    /// Pure caching: solutions are byte-identical either way (golden
+    /// fingerprint tests). Disable to measure the from-scratch baseline
+    /// with `mst bench --compare`; that reference neither reads nor
+    /// fills the table set's memo.
     bool memoize = true;
 
     /// Certify Step 1 with the exact branch-and-bound (src/exact/):

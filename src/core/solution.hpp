@@ -16,10 +16,11 @@
 
 namespace mst {
 
-/// Work counters of one optimization run, for the perf harness. Not
-/// part of the solution JSON (cache hit counts legitimately differ
-/// between memoized and from-scratch runs that produce identical
-/// solutions).
+/// Work counters of one optimization run, for the perf harness: the
+/// run's logical work, the same whatever earlier runs over the table set
+/// left in its pack memo (see core/pack_stats.hpp). Not part of the
+/// solution JSON (cache hit counts legitimately differ between memoized
+/// and from-scratch runs that produce identical solutions).
 struct OptimizerStats {
     PackStats packing;            ///< Step-1/Step-2 packing work
     std::int64_t site_points = 0; ///< Step-2 site curve points evaluated

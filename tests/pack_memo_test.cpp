@@ -1,0 +1,278 @@
+// The table set's pack memo (arch/pack_memo.hpp) is pure sharing: a solve
+// over a table set that earlier solves already filled must answer
+// exactly like a solve over a fresh table set, in any solve order, at
+// any fill level of the memo, and under concurrent solves. "Exactly"
+// covers the whole solution JSON and every work counter but `threads`:
+// a solve that reuses an answer reports its recorded work as its own.
+//
+// The grid: a 3000-module narrow-deep SOC, p93791 and two random SOCs,
+// each x {256, 512, 1024} channels x {2M, 7M, 32M} vectors x {plain,
+// broadcast, abort-on-fail, retest}.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "arch/channel_group.hpp"
+#include "common/error.hpp"
+#include "common/rng.hpp"
+#include "core/optimizer.hpp"
+#include "report/solution_json.hpp"
+#include "soc/generator.hpp"
+#include "soc/profiles.hpp"
+
+namespace mst {
+namespace {
+
+struct GridScenario {
+    TestCell cell;
+    OptimizeOptions options;
+    std::string name;
+};
+
+std::vector<GridScenario> grid()
+{
+    std::vector<GridScenario> scenarios;
+    for (const int channels : {256, 512, 1024}) {
+        for (const CycleCount depth : {2 * mebi, 7 * mebi, 32 * mebi}) {
+            for (int variant = 0; variant < 4; ++variant) {
+                GridScenario scenario;
+                scenario.cell.ate.channels = channels;
+                scenario.cell.ate.vector_memory_depth = depth;
+                scenario.options.threads = 1;
+                switch (variant) {
+                case 1: scenario.options.broadcast = BroadcastMode::stimuli; break;
+                case 2: scenario.options.abort = AbortOnFail::on; break;
+                case 3: scenario.options.retest = RetestPolicy::retest_contact_failures; break;
+                default: break;
+                }
+                scenario.name = std::to_string(channels) + "x" + std::to_string(depth) + "/v" +
+                                std::to_string(variant);
+                scenarios.push_back(scenario);
+            }
+        }
+    }
+    return scenarios;
+}
+
+/// One solve's observable outcome: the solution JSON (or the error) and
+/// every work counter but `threads`.
+struct Outcome {
+    std::string json;
+    PackStats packing;
+    std::int64_t site_points = 0;
+};
+
+Outcome solve(const SocTimeTables& tables, const GridScenario& scenario)
+{
+    Outcome outcome;
+    try {
+        const Solution solution = optimize_multi_site(tables, scenario.cell, scenario.options);
+        outcome.json = solution_to_json(solution);
+        outcome.packing = solution.stats.packing;
+        outcome.site_points = solution.stats.site_points;
+    } catch (const Error& e) {
+        outcome.json = std::string("error: ") + e.what();
+    }
+    return outcome;
+}
+
+void expect_same(const Outcome& got, const Outcome& want, const std::string& where)
+{
+    EXPECT_EQ(got.json, want.json) << where;
+    EXPECT_EQ(got.packing.pack_calls, want.packing.pack_calls) << where;
+    EXPECT_EQ(got.packing.pack_cache_hits, want.packing.pack_cache_hits) << where;
+    EXPECT_EQ(got.packing.greedy_passes, want.packing.greedy_passes) << where;
+    EXPECT_EQ(got.packing.depth_profiles, want.packing.depth_profiles) << where;
+    EXPECT_EQ(got.packing.pruned_packs, want.packing.pruned_packs) << where;
+    EXPECT_EQ(got.site_points, want.site_points) << where;
+}
+
+Soc soc_named(const std::string& name)
+{
+    if (name == "gen300x-deep") {
+        return generate_soc(scaled_benchmark_config(name, 3000, ScaledShape::narrow_deep));
+    }
+    if (name == "random-a") {
+        return random_soc(test_seeds::pack_memo[0], 40);
+    }
+    if (name == "random-b") {
+        return random_soc(test_seeds::pack_memo[1], 40);
+    }
+    return make_benchmark_soc(name);
+}
+
+/// Every grid scenario solved over its own fresh table set: the answers
+/// no memo content can have influenced. Computed once per SOC.
+const std::vector<Outcome>& fresh_outcomes(const std::string& name, const Soc& soc)
+{
+    static std::map<std::string, std::vector<Outcome>> cache;
+    auto found = cache.find(name);
+    if (found == cache.end()) {
+        std::vector<Outcome> outcomes;
+        for (const GridScenario& scenario : grid()) {
+            const SocTimeTables tables(soc, TableBuild::fast, 1);
+            outcomes.push_back(solve(tables, scenario));
+        }
+        found = cache.emplace(name, std::move(outcomes)).first;
+    }
+    return found->second;
+}
+
+class PackMemoGrid : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PackMemoGrid, SharedTableSetMatchesFreshSolvesForwardAndReversed)
+{
+    const Soc soc = soc_named(GetParam());
+    const std::vector<GridScenario> scenarios = grid();
+    const std::vector<Outcome>& fresh = fresh_outcomes(GetParam(), soc);
+
+    const SocTimeTables tables(soc, TableBuild::fast, 1);
+    for (std::size_t k = 0; k < scenarios.size(); ++k) {
+        expect_same(solve(tables, scenarios[k]), fresh[k],
+                    std::string(GetParam()) + " forward " + scenarios[k].name);
+    }
+    const std::size_t filled = tables.pack_memo().size();
+    EXPECT_GT(filled, 0U);
+    for (std::size_t k = scenarios.size(); k-- > 0;) {
+        expect_same(solve(tables, scenarios[k]), fresh[k],
+                    std::string(GetParam()) + " reversed " + scenarios[k].name);
+    }
+    // The second pass asks nothing new.
+    EXPECT_EQ(tables.pack_memo().size(), filled);
+    EXPECT_LE(tables.pack_memo().charged_words(), tables.pack_memo().capacity_words());
+}
+
+TEST_P(PackMemoGrid, FullMemoStillAnswersLikeFreshSolves)
+{
+    const Soc soc = soc_named(GetParam());
+    const std::vector<GridScenario> scenarios = grid();
+    const std::vector<Outcome>& fresh = fresh_outcomes(GetParam(), soc);
+
+    // Fill the memo with answers to queries no solve asks (budget 0),
+    // up to `slack` words short of its cap: with no slack the memo
+    // accepts nothing more, with some it fills up part way through.
+    for (const std::size_t slack : {std::size_t{0}, std::size_t{4096}}) {
+        const SocTimeTables tables(soc, TableBuild::fast, 1);
+        PackMemo& memo = tables.pack_memo();
+        for (CycleCount depth = 1; memo.charged_words() + slack < memo.capacity_words(); ++depth) {
+            if (memo.publish({depth, 0, true}, PackAnswer(0, false)) == nullptr) {
+                break;
+            }
+        }
+        const std::size_t before = memo.size();
+        ASSERT_GT(before, 0U);
+        for (std::size_t k = 0; k < scenarios.size(); ++k) {
+            expect_same(solve(tables, scenarios[k]), fresh[k],
+                        std::string(GetParam()) + " slack " + std::to_string(slack) + " " +
+                            scenarios[k].name);
+        }
+        EXPECT_LE(memo.charged_words(), memo.capacity_words());
+        if (slack == 0) {
+            EXPECT_EQ(memo.size(), before);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(GridSocs, PackMemoGrid,
+                         ::testing::Values("gen300x-deep", "p93791", "random-a", "random-b"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                             std::string name = info.param;
+                             std::replace(name.begin(), name.end(), '-', '_');
+                             return name;
+                         });
+
+TEST(PackMemo, ReferenceModeNeitherReadsNorGrowsTheMemo)
+{
+    // 200 modules: a memo cap that holds the poison below.
+    const Soc soc = random_soc(test_seeds::pack_memo[0], 200);
+    const SocTimeTables tables(soc, TableBuild::fast, 1);
+    TestCell cell; // 512 channels x 7M vectors
+    OptimizeOptions reference;
+    reference.memoize = false;
+    reference.threads = 1;
+    const std::string want = solution_to_json(optimize_multi_site(soc, cell, reference));
+
+    // Poison every query Step 1's budget ascent can ask: claim no
+    // packing exists. A solve that reads the memo fails Step 1.
+    PackMemo& memo = tables.pack_memo();
+    for (int step = 40; step >= 22; --step) {
+        const auto depth = static_cast<CycleCount>(
+            static_cast<double>(cell.ate.vector_memory_depth) * (0.025 * step));
+        for (WireCount budget = 1; budget <= wires_from_channels(cell.ate.channels); ++budget) {
+            ASSERT_NE(memo.publish({depth, budget, true}, PackAnswer(0, false)), nullptr);
+        }
+    }
+    const std::size_t poisoned = memo.size();
+
+    const Solution got = optimize_multi_site(tables, cell, reference);
+    EXPECT_EQ(solution_to_json(got), want);
+    EXPECT_EQ(got.stats.packing.pack_cache_hits, 0);
+    EXPECT_EQ(got.stats.packing.depth_profiles, got.stats.packing.pack_calls);
+    EXPECT_EQ(memo.size(), poisoned);
+
+    // The poison is live: a memoized solve does read it.
+    OptimizeOptions memoized;
+    memoized.threads = 1;
+    EXPECT_THROW((void)optimize_multi_site(tables, cell, memoized), InfeasibleError);
+}
+
+TEST(PackMemo, StepOneModesKeepTheirOwnAnswers)
+{
+    // The paper's greedy runs one pass per query, the budget search up
+    // to nine: the same (depth, budget) can pack in one mode and not in
+    // the other, so the modes must not share answers.
+    const Soc soc = make_benchmark_soc("p93791");
+    const SocTimeTables shared(soc, TableBuild::fast, 1);
+    for (const bool budget_search : {false, true}) {
+        GridScenario scenario;
+        scenario.cell.ate.channels = 1024;
+        scenario.cell.ate.vector_memory_depth = 2 * mebi;
+        scenario.options.threads = 1;
+        scenario.options.budget_search = budget_search;
+        const SocTimeTables fresh(soc, TableBuild::fast, 1);
+        expect_same(solve(shared, scenario), solve(fresh, scenario),
+                    budget_search ? "budget search" : "paper greedy");
+    }
+}
+
+TEST(PackMemo, RacingSolvesOnOneTableSetMatchSerialSolves)
+{
+    const std::vector<GridScenario> scenarios = grid();
+    for (const char* name : {"p93791", "random-a"}) {
+        const Soc soc = soc_named(name);
+        const std::vector<Outcome>& fresh = fresh_outcomes(name, soc);
+
+        // Eight threads walk the grid over one table set, each from its
+        // own starting scenario, so most queries race a first publish.
+        constexpr std::size_t racers = 8;
+        const SocTimeTables tables(soc, TableBuild::fast, 1);
+        std::vector<std::vector<Outcome>> raced(racers, std::vector<Outcome>(scenarios.size()));
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < racers; ++t) {
+            threads.emplace_back([&, t] {
+                for (std::size_t i = 0; i < scenarios.size(); ++i) {
+                    const std::size_t k = (i + t * scenarios.size() / racers) % scenarios.size();
+                    raced[t][k] = solve(tables, scenarios[k]);
+                }
+            });
+        }
+        for (std::thread& thread : threads) {
+            thread.join();
+        }
+        for (std::size_t t = 0; t < racers; ++t) {
+            for (std::size_t k = 0; k < scenarios.size(); ++k) {
+                expect_same(raced[t][k], fresh[k],
+                            std::string(name) + " racer " + std::to_string(t) + " " +
+                                scenarios[k].name);
+            }
+        }
+    }
+}
+
+} // namespace
+} // namespace mst
