@@ -45,8 +45,8 @@ int main()
     for (const GroupSummary& group : solution.groups) {
         std::cout << "  TAM " << ++index << ": " << group.wires << " wires ("
                   << group.channels << " channels), fill " << group.fill << " cycles:";
-        for (const std::string& name : group.module_names) {
-            std::cout << ' ' << name;
+        for (const int module_index : group.module_indices) {
+            std::cout << ' ' << solution.module_name(module_index);
         }
         std::cout << '\n';
     }

@@ -141,6 +141,18 @@ const std::vector<int>& SocTimeTables::time_order() const
     return built_->by_time;
 }
 
+const std::shared_ptr<const std::vector<std::string>>& SocTimeTables::module_names() const
+{
+    std::call_once(built_->names_built, [this] {
+        auto names = std::make_shared<std::vector<std::string>>();
+        for (const Module& module : soc_->modules()) {
+            names->push_back(module.name());
+        }
+        built_->names = std::move(names);
+    });
+    return built_->names;
+}
+
 PackMemo& SocTimeTables::pack_memo() const
 {
     std::call_once(built_->memo_built, [this] { built_->memo.emplace(module_count()); });

@@ -24,6 +24,7 @@
 #include <mutex>
 #include <new>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,9 +66,10 @@ using TableArray = std::vector<T, DefaultInitAllocator<T>>;
 /// The SOC must outlive the tables. Immutable after construction, with
 /// two exceptions:
 ///   * the two depth-independent module orders (volume_order(),
-///     time_order()) are built on first use, each at most once per table
-///     set under std::call_once: concurrent first calls build an order
-///     once, and every caller reads the same vector;
+///     time_order()) and the module names table (module_names()) are
+///     built on first use, each at most once per table set under
+///     std::call_once: concurrent first calls build it once, and every
+///     caller reads the same vector;
 ///   * the pack memo (pack_memo()) is built the same way and then grows:
 ///     every PackEngine over the set publishes the pack queries it
 ///     answers, under the memo's one mutex, and reuses the ones other
@@ -240,6 +242,11 @@ public:
     /// table set.
     [[nodiscard]] const std::vector<int>& time_order() const;
 
+    /// The SOC's module names by module index, built on first use, once
+    /// per table set. Shared, not borrowed: every Solution over the set
+    /// holds this pointer, so its names outlive the tables and the SOC.
+    [[nodiscard]] const std::shared_ptr<const std::vector<std::string>>& module_names() const;
+
     /// The table set's memo of answered pack queries (arch/pack_memo.hpp),
     /// shared by every PackEngine over this set. Built on first use.
     [[nodiscard]] PackMemo& pack_memo() const;
@@ -275,17 +282,19 @@ private:
     TableArray<CycleCount> suffix_min_areas_;
     std::vector<std::int64_t> volumes_;
 
-    /// The once-built module orders and pack memo. std::once_flag and
-    /// the memo's mutex neither copy nor move, so they sit behind a
-    /// pointer: the tables stay movable (the serve tables cache moves a
-    /// restored set into its entry), and published memo answers keep
-    /// their addresses across the move.
+    /// The once-built module orders, names table and pack memo.
+    /// std::once_flag and the memo's mutex neither copy nor move, so they
+    /// sit behind a pointer: the tables stay movable (the serve tables
+    /// cache moves a restored set into its entry), and published memo
+    /// answers keep their addresses across the move.
     struct OnFirstUse {
         std::once_flag volume_built;
         std::once_flag time_built;
+        std::once_flag names_built;
         std::once_flag memo_built;
         std::vector<int> by_volume;
         std::vector<int> by_time;
+        std::shared_ptr<const std::vector<std::string>> names;
         std::optional<PackMemo> memo;
     };
     std::unique_ptr<OnFirstUse> built_ = std::make_unique<OnFirstUse>();

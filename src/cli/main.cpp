@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -132,7 +133,7 @@ int cmd_optimize(const Flags& flags)
     const Solution solution = optimize_multi_site(tables, cell, options);
 
     if (flags.count("json") != 0) {
-        write_solution_json(std::cout, solution);
+        std::cout << solution_to_json(solution);
         return 0;
     }
 
@@ -168,11 +169,11 @@ int cmd_optimize(const Flags& flags)
     int index = 0;
     for (const GroupSummary& group : solution.groups) {
         std::string names;
-        for (const std::string& name : group.module_names) {
+        for (const int module_index : group.module_indices) {
             if (!names.empty()) {
                 names += ' ';
             }
-            names += name;
+            names += solution.module_name(module_index);
         }
         table.add_row({"TAM " + std::to_string(++index), std::to_string(group.wires),
                        std::to_string(group.channels), std::to_string(group.fill), names});
@@ -577,13 +578,11 @@ int cmd_replay(const std::string& path, const Flags& flags)
     return 0;
 }
 
-/// `bench`: run the canonical perf suite and emit the machine-readable
-/// BENCH JSON that records the repo's optimizer-latency trajectory.
-int cmd_bench(const Flags& flags)
+/// The suite options `bench` and `certify` share: --filter, --threads
+/// and --repeat.
+BenchOptions suite_options_from_flags(const Flags& flags)
 {
     BenchOptions options;
-    options.quick = flags.count("quick") != 0;
-    options.compare_baseline = flags.count("compare") != 0;
     options.filter = flag_or(flags, "filter", "");
     options.threads = parse_int_flag("threads", flag_or(flags, "threads", "0"));
     const std::string repeat = flag_or(flags, "repeat", "");
@@ -593,7 +592,15 @@ int cmd_bench(const Flags& flags)
             throw ValidationError("--repeat expects a positive iteration count");
         }
     }
+    return options;
+}
 
+/// Run a BENCH-format suite (`bench` or `certify`) and write its JSON to
+/// --out and, with --json, to stdout. Returns nullopt, after saying so,
+/// when --filter matched no scenarios.
+std::optional<BenchReport> run_suite(const Flags& flags, const BenchOptions& options,
+                                     BenchReport (*run)(const BenchOptions&))
+{
     // Open the output before the (potentially minutes-long) suite runs,
     // so a bad path fails in milliseconds instead of after the work.
     const std::string out_path = flag_or(flags, "out", "");
@@ -605,25 +612,55 @@ int cmd_bench(const Flags& flags)
         }
     }
 
-    const BenchReport report = run_bench(options);
+    BenchReport report = run(options);
     if (report.results.empty()) {
         std::cerr << "error: --filter '" << options.filter << "' matched no scenarios\n";
-        return 1;
+        return std::nullopt;
     }
 
     if (!out_path.empty()) {
-        write_bench_json(out_file, report);
+        out_file << bench_report_to_json(report);
         out_file.flush();
         if (!out_file.good()) {
             throw ValidationError("failed writing '" + out_path + "'");
         }
     }
     if (flags.count("json") != 0) {
-        write_bench_json(std::cout, report);
-    } else {
+        std::cout << bench_report_to_json(report);
+    }
+    return report;
+}
+
+/// The per-scenario table of a suite run (without --json), and its
+/// summary line.
+void print_suite_table(const Flags& flags, const BenchReport& report, const Table& table)
+{
+    std::cout << table;
+    std::cout << '\n' << report.results.size() << " scenarios (" << report.suite
+              << " suite), " << report.repetitions << " repetitions, "
+              << format_seconds(report.total_seconds) << " total";
+    const std::string out_path = flag_or(flags, "out", "");
+    if (!out_path.empty()) {
+        std::cout << ", wrote " << out_path;
+    }
+    std::cout << '\n';
+}
+
+/// `bench`: run the canonical perf suite and emit the machine-readable
+/// BENCH JSON that records the repo's optimizer-latency trajectory.
+int cmd_bench(const Flags& flags)
+{
+    BenchOptions options = suite_options_from_flags(flags);
+    options.quick = flags.count("quick") != 0;
+    options.compare_baseline = flags.count("compare") != 0;
+    const std::optional<BenchReport> report = run_suite(flags, options, run_bench);
+    if (!report) {
+        return 1;
+    }
+    if (flags.count("json") == 0) {
         Table table({"scenario", "t_p50", "t_min", "speedup", "n_opt", "k/site", "pack calls",
                      "cache hits"});
-        for (const BenchCaseResult& result : report.results) {
+        for (const BenchCaseResult& result : report->results) {
             if (!result.ok) {
                 table.add_row({result.name, "-", "-", "-", "-", "-", "-",
                                "error: " + result.error});
@@ -643,16 +680,9 @@ int cmd_bench(const Flags& flags)
                            std::to_string(result.stats.packing.pack_calls),
                            std::to_string(result.stats.packing.pack_cache_hits)});
         }
-        std::cout << table;
-        std::cout << '\n' << report.results.size() << " scenarios (" << report.suite
-                  << " suite), " << report.repetitions << " repetitions, "
-                  << format_seconds(report.total_seconds) << " total";
-        if (!out_path.empty()) {
-            std::cout << ", wrote " << out_path;
-        }
-        std::cout << '\n';
+        print_suite_table(flags, *report, table);
     }
-    if (!report.all_ok()) {
+    if (!report->all_ok()) {
         std::cerr << "error: bench suite had failing scenarios or fingerprint mismatches\n";
         return 1;
     }
@@ -661,45 +691,15 @@ int cmd_bench(const Flags& flags)
 
 int cmd_certify(const Flags& flags)
 {
-    BenchOptions options;
-    options.filter = flag_or(flags, "filter", "");
-    options.threads = parse_int_flag("threads", flag_or(flags, "threads", "0"));
-    const std::string repeat = flag_or(flags, "repeat", "");
-    if (!repeat.empty()) {
-        options.repetitions = parse_int_flag("repeat", repeat);
-        if (options.repetitions < 1) {
-            throw ValidationError("--repeat expects a positive iteration count");
-        }
-    }
-
-    const std::string out_path = flag_or(flags, "out", "");
-    std::ofstream out_file;
-    if (!out_path.empty()) {
-        out_file.open(out_path);
-        if (!out_file) {
-            throw ValidationError("cannot open '" + out_path + "' for writing");
-        }
-    }
-
-    const BenchReport report = run_certify(options);
-    if (report.results.empty()) {
-        std::cerr << "error: --filter '" << options.filter << "' matched no scenarios\n";
+    const std::optional<BenchReport> report =
+        run_suite(flags, suite_options_from_flags(flags), run_certify);
+    if (!report) {
         return 1;
     }
-
-    if (!out_path.empty()) {
-        write_bench_json(out_file, report);
-        out_file.flush();
-        if (!out_file.good()) {
-            throw ValidationError("failed writing '" + out_path + "'");
-        }
-    }
-    if (flags.count("json") != 0) {
-        write_bench_json(std::cout, report);
-    } else {
+    if (flags.count("json") == 0) {
         Table table({"scenario", "LB", "exact", "step1", "binpack", "gap", "B&B nodes",
                      "certified", "t_p50"});
-        for (const BenchCaseResult& result : report.results) {
+        for (const BenchCaseResult& result : report->results) {
             if (!result.ok) {
                 table.add_row({result.name, "-", "-", "-", "-", "-", "-", "-",
                                "error: " + result.error});
@@ -717,16 +717,9 @@ int cmd_certify(const Flags& flags)
                            std::to_string(gap.bnb_nodes), gap.certified ? "yes" : "NO",
                            format_seconds(result.wall.p50)});
         }
-        std::cout << table;
-        std::cout << '\n' << report.results.size() << " scenarios (" << report.suite
-                  << " suite), " << report.repetitions << " repetitions, "
-                  << format_seconds(report.total_seconds) << " total";
-        if (!out_path.empty()) {
-            std::cout << ", wrote " << out_path;
-        }
-        std::cout << '\n';
+        print_suite_table(flags, *report, table);
     }
-    if (!report.all_ok()) {
+    if (!report->all_ok()) {
         std::cerr << "error: certify suite had failing scenarios\n";
         return 1;
     }

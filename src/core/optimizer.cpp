@@ -10,25 +10,6 @@ namespace mst {
 
 namespace {
 
-std::vector<GroupSummary> summarize_groups(const Architecture& arch, const Soc& soc)
-{
-    std::vector<GroupSummary> summaries;
-    summaries.reserve(arch.groups().size());
-    for (const ChannelGroup& group : arch.groups()) {
-        GroupSummary summary;
-        summary.wires = group.width();
-        summary.channels = channels_from_wires(group.width());
-        summary.fill = group.fill();
-        summary.module_indices = group.module_indices();
-        summary.module_names.reserve(summary.module_indices.size());
-        for (const int module_index : summary.module_indices) {
-            summary.module_names.push_back(soc.module(module_index).name());
-        }
-        summaries.push_back(std::move(summary));
-    }
-    return summaries;
-}
-
 /// Certify the Step-1 architecture with the exact solver: same depth
 /// constraint, greedy partition as the initial incumbent. Runs after
 /// Step 1 so the greedy pipeline (and its fingerprints) is untouched;
@@ -44,7 +25,7 @@ ExactSummary certify_step1(const SocTimeTables& tables, const AteSpec& ate,
     for (const ChannelGroup& group : step1.architecture.groups()) {
         exact_options.seed.push_back(group.module_indices());
     }
-    const ExactResult exact = exact_search(tables, ate.vector_memory_depth, exact_options);
+    ExactResult exact = exact_search(tables, ate.vector_memory_depth, exact_options);
 
     ExactSummary summary;
     summary.wires = exact.wires;
@@ -52,14 +33,7 @@ ExactSummary certify_step1(const SocTimeTables& tables, const AteSpec& ate,
     summary.gap = summary.greedy_wires - exact.wires;
     summary.nodes_explored = exact.nodes_explored;
     summary.certified = exact.certified;
-    for (const std::vector<int>& group : exact.groups) {
-        std::vector<std::string> names;
-        names.reserve(group.size());
-        for (const int module_index : group) {
-            names.push_back(tables.soc().module(module_index).name());
-        }
-        summary.groups.push_back(std::move(names));
-    }
+    summary.groups = std::move(exact.groups);
     return summary;
 }
 
@@ -100,7 +74,12 @@ Solution optimize_multi_site(const SocTimeTables& tables,
     solution.channels_per_site = final_arch->channels();
     solution.test_cycles = final_arch->test_cycles();
     solution.manufacturing_time = cell.ate.seconds_for(solution.test_cycles);
-    solution.groups = summarize_groups(*final_arch, soc);
+    solution.groups.reserve(final_arch->groups().size());
+    for (const ChannelGroup& group : final_arch->groups()) {
+        solution.groups.push_back({group.width(), channels_from_wires(group.width()),
+                                   group.fill(), group.module_indices()});
+    }
+    solution.module_names = tables.module_names();
     solution.erpct = design_erpct(soc, solution.channels_per_site, options.functional_pins,
                                   options.control_pads);
     solution.best_figure_of_merit_ = figure_of_merit(solution.throughput, options.retest);

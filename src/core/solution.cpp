@@ -31,8 +31,11 @@ void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& 
     }
 
     // Architecture consistency. Coverage by module index, one counter
-    // per SOC module (the idiom of Architecture::validate); the name
-    // check ties each entry's index to the module the reports print.
+    // per SOC module (the idiom of Architecture::validate).
+    if (!solution.module_names ||
+        solution.module_names->size() != static_cast<std::size_t>(soc.module_count())) {
+        throw ValidationError("solution's module names table does not match the SOC");
+    }
     WireCount wires = 0;
     std::vector<int> seen(static_cast<std::size_t>(soc.module_count()), 0);
     for (const GroupSummary& group : solution.groups) {
@@ -42,20 +45,15 @@ void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& 
         if (group.fill > ate.vector_memory_depth) {
             throw ValidationError("group fill exceeds the vector memory depth");
         }
-        if (group.module_indices.size() != group.module_names.size()) {
-            throw ValidationError("group module names and indices differ in length");
-        }
         wires += group.wires;
-        for (std::size_t i = 0; i < group.module_indices.size(); ++i) {
-            const int index = group.module_indices[i];
-            const std::string& name = group.module_names[i];
-            if (index < 0 || index >= soc.module_count() || soc.module(index).name() != name) {
-                throw ValidationError("solution wraps module '" + name +
-                                      "', which is not the SOC's module " +
-                                      std::to_string(index));
+        for (const int index : group.module_indices) {
+            if (index < 0 || index >= soc.module_count()) {
+                throw ValidationError("solution wraps module " + std::to_string(index) +
+                                      ", which the SOC does not have");
             }
             if (++seen[static_cast<std::size_t>(index)] > 1) {
-                throw ValidationError("module '" + name + "' assigned to two groups");
+                throw ValidationError("module '" + soc.module(index).name() +
+                                      "' assigned to two groups");
             }
         }
     }

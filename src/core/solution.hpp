@@ -2,7 +2,9 @@
 // infrastructure plus the throughput numbers of Section 4.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,14 +35,12 @@ struct OptimizerStats {
 };
 
 /// Snapshot of one channel group, detached from the internal tables so a
-/// Solution owns its data. Entry i of the two module lists names the
-/// same member: `module_indices[i]` is its index in the SOC and
-/// `module_names[i]` its name there, the one the reports print.
+/// Solution owns its data. Members are SOC module indices, in member
+/// order; Solution::module_name() gives the name the reports print.
 struct GroupSummary {
     WireCount wires = 0;
     ChannelCount channels = 0;
     CycleCount fill = 0;
-    std::vector<std::string> module_names;
     std::vector<int> module_indices;
 };
 
@@ -55,7 +55,7 @@ struct ExactSummary {
     WireCount gap = 0;          ///< greedy_wires - wires
     std::int64_t nodes_explored = 0;
     bool certified = false;     ///< search exhausted the pruned tree
-    std::vector<std::vector<std::string>> groups; ///< module names per exact group
+    std::vector<std::vector<int>> groups; ///< module indices per exact group
 };
 
 /// One point of the sites -> throughput curve (the x-axis of Figure 5).
@@ -97,6 +97,16 @@ struct Solution {
     // Search-effort counters (see OptimizerStats).
     OptimizerStats stats;
 
+    /// The SOC's module names by module index, shared with the table set
+    /// the solution was computed over (SocTimeTables::module_names()).
+    std::shared_ptr<const std::vector<std::string>> module_names;
+
+    /// Name of SOC module `module_index`, as the reports print it.
+    [[nodiscard]] const std::string& module_name(int module_index) const
+    {
+        return (*module_names)[static_cast<std::size_t>(module_index)];
+    }
+
     /// Devices/hour (or unique devices/hour under the re-test policy)
     /// at the optimum.
     [[nodiscard]] DevicesPerHour best_throughput() const noexcept
@@ -111,10 +121,9 @@ struct Solution {
 /// Cross-check a solution against the problem constraints (Section 5:
 /// n*k <= K [or the broadcast variant], fill <= D, every module wrapped).
 /// Coverage is checked by module index, one counter per SOC module: every
-/// group entry's index must be in range and name the entry's module
-/// (soc.module(index).name() == name), and every module must sit in
-/// exactly one group. A duplicate, missing or foreign module is rejected
-/// without hashing a name. Throws ValidationError on violation.
+/// group entry's index must be in range and every module must sit in
+/// exactly one group. The names table must be present, one name per SOC
+/// module. Throws ValidationError on violation.
 void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& ate,
                        BroadcastMode broadcast);
 

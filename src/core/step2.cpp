@@ -73,8 +73,8 @@ namespace {
 /// Re-pack fallback: when widening the bottleneck group cannot shorten
 /// the test any further (its modules are width-saturated), rebuilding the
 /// whole per-site architecture for the full wire budget at the smallest
-/// feasible virtual depth can. The candidate depths are scanned bottom-up
-/// and the first packing that beats `beat_cycles` wins.
+/// feasible virtual depth can. The candidate depths, all below
+/// `beat_cycles`, are scanned bottom-up and the first that packs wins.
 std::optional<Architecture> repack_for_budget(PackEngine& engine,
                                               CycleCount depth,
                                               WireCount wire_budget,
@@ -82,8 +82,7 @@ std::optional<Architecture> repack_for_budget(PackEngine& engine,
 {
     for (const CycleCount candidate :
          repack_candidates(engine.tables(), depth, wire_budget, beat_cycles)) {
-        std::optional<Architecture> packed = engine.pack_within(candidate, wire_budget);
-        if (packed && packed->test_cycles() < beat_cycles) {
+        if (std::optional<Architecture> packed = engine.pack_within(candidate, wire_budget)) {
             return packed;
         }
     }

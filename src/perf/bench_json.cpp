@@ -1,6 +1,5 @@
 #include "perf/bench_json.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
@@ -10,19 +9,12 @@ namespace mst {
 
 namespace {
 
-std::string number(double value)
-{
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.6g", value);
-    return buffer;
-}
-
 void write_timing(std::ostream& out, const TimingStats& stats)
 {
-    out << "{ \"iterations\": " << stats.iterations << ", \"min_s\": " << number(stats.min)
-        << ", \"p50_s\": " << number(stats.p50) << ", \"p95_s\": " << number(stats.p95)
-        << ", \"p99_s\": " << number(stats.p99) << ", \"mean_s\": " << number(stats.mean)
-        << ", \"max_s\": " << number(stats.max) << " }";
+    out << "{ \"iterations\": " << stats.iterations << ", \"min_s\": " << json_number(stats.min)
+        << ", \"p50_s\": " << json_number(stats.p50) << ", \"p95_s\": " << json_number(stats.p95)
+        << ", \"p99_s\": " << json_number(stats.p99) << ", \"mean_s\": " << json_number(stats.mean)
+        << ", \"max_s\": " << json_number(stats.max) << " }";
 }
 
 void write_case(std::ostream& out, const BenchCaseResult& result)
@@ -44,8 +36,8 @@ void write_case(std::ostream& out, const BenchCaseResult& result)
         out << ",\n      \"baseline_wall_seconds\": ";
         write_timing(out, *result.baseline_wall);
         if (result.wall.p50 > 0) {
-            out << ",\n      \"speedup_p50\": " << number(result.baseline_wall->p50 /
-                                                          result.wall.p50);
+            out << ",\n      \"speedup_p50\": "
+                << json_number(result.baseline_wall->p50 / result.wall.p50);
         }
     }
     if (result.fingerprint_matches_baseline) {
@@ -64,7 +56,8 @@ void write_case(std::ostream& out, const BenchCaseResult& result)
     out << ",\n      \"fingerprint\": { \"sites\": " << result.fingerprint.sites
         << ", \"channels_per_site\": " << result.fingerprint.channels_per_site
         << ", \"test_cycles\": " << result.fingerprint.test_cycles
-        << ", \"devices_per_hour\": " << number(result.fingerprint.devices_per_hour) << " },\n";
+        << ", \"devices_per_hour\": " << json_number(result.fingerprint.devices_per_hour)
+        << " },\n";
     out << "      \"optimizer_stats\": { \"pack_calls\": " << result.stats.packing.pack_calls
         << ", \"pack_cache_hits\": " << result.stats.packing.pack_cache_hits
         << ", \"greedy_passes\": " << result.stats.packing.greedy_passes
@@ -77,8 +70,9 @@ void write_case(std::ostream& out, const BenchCaseResult& result)
 
 } // namespace
 
-void write_bench_json(std::ostream& out, const BenchReport& report)
+std::string bench_report_to_json(const BenchReport& report)
 {
+    std::ostringstream out;
     out << "{\n";
     out << "  \"schema\": \"" << bench_schema_name << "\",\n";
     out << "  \"schema_version\": " << bench_schema_version << ",\n";
@@ -86,7 +80,7 @@ void write_bench_json(std::ostream& out, const BenchReport& report)
     out << "  \"repetitions\": " << report.repetitions << ",\n";
     out << "  \"compared_baseline\": " << (report.compared_baseline ? "true" : "false") << ",\n";
     out << "  \"threads\": " << report.threads << ",\n";
-    out << "  \"total_seconds\": " << number(report.total_seconds) << ",\n";
+    out << "  \"total_seconds\": " << json_number(report.total_seconds) << ",\n";
     out << "  \"scenario_count\": " << report.results.size() << ",\n";
     out << "  \"scenarios\": [";
     for (std::size_t i = 0; i < report.results.size(); ++i) {
@@ -95,13 +89,7 @@ void write_bench_json(std::ostream& out, const BenchReport& report)
     }
     out << "\n  ]\n";
     out << "}\n";
-}
-
-std::string bench_report_to_json(const BenchReport& report)
-{
-    std::ostringstream stream;
-    write_bench_json(stream, report);
-    return stream.str();
+    return out.str();
 }
 
 } // namespace mst

@@ -5,7 +5,6 @@
 // misreading them.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "perf/bench_suite.hpp"
@@ -29,9 +28,6 @@ inline constexpr int bench_schema_version = 4;
 
 /// Serialize a bench report as one self-contained JSON object with a
 /// deterministic key order.
-void write_bench_json(std::ostream& out, const BenchReport& report);
-
-/// Convenience: serialize to a string.
 [[nodiscard]] std::string bench_report_to_json(const BenchReport& report);
 
 } // namespace mst

@@ -75,7 +75,7 @@ struct BenchCaseResult {
     std::optional<ExactGapInfo> exact; ///< set for certify scenarios
 };
 
-/// A full bench run, serialized by write_bench_json().
+/// A full bench run, serialized by bench_report_to_json().
 struct BenchReport {
     /// "quick" | "full" for unfiltered canonical runs; "custom" for
     /// filtered or caller-supplied case lists.

@@ -1,8 +1,9 @@
 #include "report/solution_json.hpp"
 
 #include <cstdio>
-#include <ostream>
-#include <sstream>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace mst {
 
@@ -41,18 +42,45 @@ std::string json_escape(const std::string& text)
     return out;
 }
 
-namespace {
-
-std::string number(double value)
+std::string json_number(double value)
 {
     char buffer[32];
     std::snprintf(buffer, sizeof buffer, "%.6g", value);
     return buffer;
 }
 
+namespace {
+
+/// The string solution_to_json appends to: `<<` takes text, characters
+/// and integers (in the digits an ostream prints).
+struct JsonText {
+    std::string text;
+
+    template <class Piece>
+    JsonText& operator<<(const Piece& piece)
+    {
+        if constexpr (std::is_integral_v<Piece> && !std::is_same_v<Piece, char>) {
+            text += std::to_string(piece);
+        } else {
+            text += piece;
+        }
+        return *this;
+    }
+
+    /// A list of module names, quoted and escaped, resolved from indices
+    /// through the solution's names table.
+    void names(const Solution& solution, const std::vector<int>& members)
+    {
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            *this << (m == 0 ? "\"" : ", \"") << json_escape(solution.module_name(members[m]))
+                  << '"';
+        }
+    }
+};
+
 } // namespace
 
-void write_solution_json(std::ostream& out, const Solution& solution, JsonStyle style)
+std::string solution_to_json(const Solution& solution, JsonStyle style)
 {
     // Layout tokens: pretty indents nested objects, compact stays on one
     // line. Key order and value formatting are identical either way.
@@ -62,15 +90,17 @@ void write_solution_json(std::ostream& out, const Solution& solution, JsonStyle 
     const char* sep = pretty ? ",\n" : ",";
     const char* item = pretty ? "    " : "";
 
+    JsonText out;
     out << open;
     out << key << "soc\": \"" << json_escape(solution.soc_name) << "\"" << sep;
     out << key << "sites\": " << solution.sites << sep;
     out << key << "channels_per_site\": " << solution.channels_per_site << sep;
     out << key << "test_cycles\": " << solution.test_cycles << sep;
-    out << key << "manufacturing_time_s\": " << number(solution.manufacturing_time) << sep;
-    out << key << "devices_per_hour\": " << number(solution.throughput.devices_per_hour) << sep;
+    out << key << "manufacturing_time_s\": " << json_number(solution.manufacturing_time) << sep;
+    out << key << "devices_per_hour\": " << json_number(solution.throughput.devices_per_hour)
+        << sep;
     out << key << "unique_devices_per_hour\": "
-        << number(solution.throughput.unique_devices_per_hour) << sep;
+        << json_number(solution.throughput.unique_devices_per_hour) << sep;
     out << key << "step1\": { \"channels\": " << solution.channels_step1
         << ", \"max_sites\": " << solution.max_sites_step1 << " }" << sep;
     if (solution.exact) {
@@ -81,9 +111,7 @@ void write_solution_json(std::ostream& out, const Solution& solution, JsonStyle 
             << (exact.certified ? "true" : "false") << ", \"groups\": [";
         for (std::size_t g = 0; g < exact.groups.size(); ++g) {
             out << (g == 0 ? "" : ", ") << '[';
-            for (std::size_t m = 0; m < exact.groups[g].size(); ++m) {
-                out << (m == 0 ? "" : ", ") << '"' << json_escape(exact.groups[g][m]) << '"';
-            }
+            out.names(solution, exact.groups[g]);
             out << ']';
         }
         out << "] }" << sep;
@@ -100,9 +128,7 @@ void write_solution_json(std::ostream& out, const Solution& solution, JsonStyle 
         out << (g == 0 ? (pretty ? "\n" : "") : sep) << item;
         out << "{ \"wires\": " << group.wires << ", \"channels\": " << group.channels
             << ", \"fill_cycles\": " << group.fill << ", \"modules\": [";
-        for (std::size_t m = 0; m < group.module_names.size(); ++m) {
-            out << (m == 0 ? "" : ", ") << '"' << json_escape(group.module_names[m]) << '"';
-        }
+        out.names(solution, group.module_indices);
         out << "] }";
     }
     out << (pretty ? "\n  ]" : "]") << sep;
@@ -113,16 +139,13 @@ void write_solution_json(std::ostream& out, const Solution& solution, JsonStyle 
         out << (i == 0 ? (pretty ? "\n" : "") : sep) << item;
         out << "{ \"sites\": " << point.sites << ", \"channels_per_site\": "
             << point.channels_per_site << ", \"test_cycles\": " << point.test_cycles
-            << ", \"devices_per_hour\": " << number(point.devices_per_hour) << " }";
+            << ", \"devices_per_hour\": " << json_number(point.devices_per_hour) << " }";
     }
     out << (pretty ? "\n  ]\n}\n" : "]}");
-}
-
-std::string solution_to_json(const Solution& solution, JsonStyle style)
-{
-    std::ostringstream stream;
-    write_solution_json(stream, solution, style);
-    return stream.str();
+    // Callers keep documents (the serve outcome cache, reply buffers):
+    // hand back exact-size storage, not the slack of appending's growth.
+    out.text.shrink_to_fit();
+    return std::move(out.text);
 }
 
 } // namespace mst

@@ -2,7 +2,6 @@
 // optimizer to downstream DfT insertion / test-program generation tools.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "core/solution.hpp"
@@ -21,15 +20,15 @@ enum class JsonStyle {
 /// operating point, E-RPCT wrapper parameters, per-group TAM plan, and
 /// the full site curve. Output is deterministic (fixed key order) and
 /// strings are escaped per RFC 8259.
-void write_solution_json(std::ostream& out, const Solution& solution,
-                         JsonStyle style = JsonStyle::pretty);
-
-/// Convenience: serialize to a string.
 [[nodiscard]] std::string solution_to_json(const Solution& solution,
                                            JsonStyle style = JsonStyle::pretty);
 
 /// Escape a string for embedding in a JSON string literal (RFC 8259:
 /// backslash, double quote, and control characters).
 [[nodiscard]] std::string json_escape(const std::string& text);
+
+/// A JSON number as printf's `%.6g` prints it: the one number format of
+/// every JSON document mst writes (solutions, sweep reports, BENCH files).
+[[nodiscard]] std::string json_number(double value);
 
 } // namespace mst

@@ -215,13 +215,6 @@ std::optional<std::chrono::milliseconds> absorb_failure(ShardRetry& retry,
                                       retry.total - 1);
 }
 
-std::string fixed_number(double value)
-{
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.6g", value);
-    return buffer;
-}
-
 /// The deterministic merged report: scenario identities and results
 /// only. No wall times, shard geometry, or thread counts — see the
 /// determinism contract in sweep.hpp.
@@ -245,7 +238,7 @@ void write_report(const std::string& path, const std::string& sweep_name,
             out << ",\n      \"fingerprint\": { \"sites\": " << record.sites
                 << ", \"channels_per_site\": " << record.channels_per_site
                 << ", \"test_cycles\": " << record.test_cycles
-                << ", \"devices_per_hour\": " << fixed_number(record.devices_per_hour)
+                << ", \"devices_per_hour\": " << json_number(record.devices_per_hour)
                 << " },\n";
             out << "      \"optimizer_stats\": { \"pack_calls\": " << record.pack_calls
                 << ", \"pack_cache_hits\": " << record.pack_cache_hits

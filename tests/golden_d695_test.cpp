@@ -30,7 +30,7 @@ TEST(GoldenD695, PaperDefaultCell512x7M)
     ASSERT_EQ(s.groups.size(), 1u);
     EXPECT_EQ(s.groups[0].wires, 1);
     EXPECT_EQ(s.groups[0].fill, 659'700);
-    EXPECT_EQ(s.groups[0].module_names.size(), 10u);
+    EXPECT_EQ(s.groups[0].module_indices.size(), 10u);
 }
 
 TEST(GoldenD695, ConstrainedCell256x48K)

@@ -1,8 +1,13 @@
 // Tests for the JSON solution exporter.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "core/optimizer.hpp"
 #include "report/solution_json.hpp"
+#include "service/protocol.hpp"
 #include "soc/d695.hpp"
 
 namespace mst {
@@ -65,6 +70,72 @@ TEST(SolutionJson, EscapesHostileNames)
 TEST(SolutionJson, Deterministic)
 {
     EXPECT_EQ(solution_to_json(demo_solution()), solution_to_json(demo_solution()));
+}
+
+std::string read_file(const std::string& path)
+{
+    std::ifstream file(path, std::ios::binary);
+    EXPECT_TRUE(file) << path;
+    return {std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
+}
+
+/// The solution `mst optimize --soc d695 <flags>` prints with --json:
+/// the CLI's flag bindings, one table set that outlives the solve.
+std::string cli_optimize_json(const cli::Flags& flags)
+{
+    const Soc soc = make_d695();
+    const TestCell cell = protocol::cell_from_flags(flags);
+    const SocTimeTables tables(soc);
+    return solution_to_json(
+        optimize_multi_site(tables, cell, protocol::options_from_flags(flags)));
+}
+
+// `mst optimize --json` bytes, pinned by files the earlier writer produced.
+// The 7M cell is one TAM of all ten modules; at 32K the exact pass finds
+// one wire fewer than the greedy, so its groups print other name lists.
+TEST(SolutionJson, MatchesCommittedOptimizeOutput)
+{
+    const std::string data = MST_TEST_DATA_DIR;
+    EXPECT_EQ(cli_optimize_json({{"channels", "512"}, {"depth", "7M"}}),
+              read_file(data + "/optimize_d695_512x7M.golden.json"));
+    const std::string exact =
+        cli_optimize_json({{"channels", "512"}, {"depth", "32K"}, {"exact", ""}});
+    EXPECT_NE(exact.find("\"gap\": 1,"), std::string::npos);
+    EXPECT_EQ(exact, read_file(data + "/optimize_d695_512x32K_exact.golden.json"));
+}
+
+// The module names are shared with the table set, not borrowed from the
+// SOC: a solution whose SOC and tables were temporaries still prints them.
+TEST(SolutionJson, NamesOutliveTheSocAndTables)
+{
+    TestCell cell;
+    cell.ate.channels = 512;
+    cell.ate.vector_memory_depth = 32 * kibi;
+    OptimizeOptions options;
+    options.exact = true;
+    const Solution orphan = optimize_multi_site(make_d695(), cell, options);
+
+    const Soc soc = make_d695();
+    const SocTimeTables tables(soc);
+    const Solution kept = optimize_multi_site(tables, cell, options);
+    EXPECT_EQ(orphan.module_names->size(), 10u);
+    EXPECT_EQ(solution_to_json(orphan), solution_to_json(kept));
+    EXPECT_EQ(solution_to_json(orphan, JsonStyle::compact),
+              solution_to_json(kept, JsonStyle::compact));
+}
+
+// Every solution over one table set shares the set's one names table.
+TEST(SolutionJson, SolutionsShareTheTableSetNames)
+{
+    const Soc soc = make_d695();
+    const SocTimeTables tables(soc);
+    TestCell cell;
+    cell.ate.channels = 256;
+    const Solution first = optimize_multi_site(tables, cell);
+    cell.ate.vector_memory_depth = 64 * kibi;
+    const Solution second = optimize_multi_site(tables, cell);
+    EXPECT_EQ(first.module_names, tables.module_names());
+    EXPECT_EQ(second.module_names, tables.module_names());
 }
 
 } // namespace
