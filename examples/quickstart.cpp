@@ -44,7 +44,7 @@ int main()
     int index = 0;
     for (const GroupSummary& group : solution.groups) {
         std::cout << "  TAM " << ++index << ": " << group.wires << " wires ("
-                  << group.channels << " channels), fill " << group.fill << " cycles:";
+                  << channels_from_wires(group.wires) << " channels), fill " << group.fill << " cycles:";
         for (const int module_index : group.module_indices) {
             std::cout << ' ' << solution.module_name(module_index);
         }

@@ -80,10 +80,10 @@ void Architecture::reset() noexcept
     total_fill_ = 0;
 }
 
-bool Architecture::add_wire_to_bottleneck(WireCount spare)
+std::optional<std::size_t> Architecture::add_wire_to_bottleneck(WireCount spare)
 {
     if (groups_.empty() || spare < 1) {
-        return false;
+        return std::nullopt;
     }
     const auto bottleneck = static_cast<std::size_t>(std::distance(
         groups_.begin(),
@@ -95,10 +95,10 @@ bool Architecture::add_wire_to_bottleneck(WireCount spare)
     // Monotonicity of the time staircase means: if `spare` extra wires do
     // not lower the fill, no smaller amount does either.
     if (group.fill_at_width(group.width() + spare) >= group.fill()) {
-        return false;
+        return std::nullopt;
     }
     widen_group(bottleneck, 1);
-    return true;
+    return bottleneck;
 }
 
 WireCount Architecture::compact(CycleCount depth)

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "arch/channel_group.hpp"
@@ -103,10 +104,11 @@ public:
     /// Step 2's redistribution move: add one wire to the group with the
     /// largest fill, provided that group can still reduce its fill with
     /// at most `spare` additional wires (the time staircase may need
-    /// several wires per step). Returns false — and leaves the
-    /// architecture unchanged — when the bottleneck is saturated, so the
-    /// caller stops handing out channels that cannot buy time.
-    bool add_wire_to_bottleneck(WireCount spare);
+    /// several wires per step). Returns the widened group's index, or
+    /// nullopt — leaving the architecture unchanged — when the
+    /// bottleneck is saturated, so the caller stops handing out channels
+    /// that cannot buy time.
+    std::optional<std::size_t> add_wire_to_bottleneck(WireCount spare);
 
     /// Channel-compaction pass: repeatedly try to delete a group by
     /// relocating all its modules into the remaining groups (re-wrapped

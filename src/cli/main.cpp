@@ -176,7 +176,8 @@ int cmd_optimize(const Flags& flags)
             names += solution.module_name(module_index);
         }
         table.add_row({"TAM " + std::to_string(++index), std::to_string(group.wires),
-                       std::to_string(group.channels), std::to_string(group.fill), names});
+                       std::to_string(channels_from_wires(group.wires)),
+                       std::to_string(group.fill), names});
     }
     std::cout << table;
 

@@ -1,5 +1,8 @@
 #include "core/optimizer.hpp"
 
+#include <optional>
+#include <utility>
+
 #include "arch/channel_group.hpp"
 #include "common/executor.hpp"
 #include "core/step1.hpp"
@@ -15,26 +18,39 @@ namespace {
 /// Step 1 so the greedy pipeline (and its fingerprints) is untouched;
 /// the outcome is reported alongside, not substituted into Step 2.
 ExactSummary certify_step1(const SocTimeTables& tables, const AteSpec& ate,
-                           const Step1Result& step1, const OptimizeOptions& options)
+                           const Architecture& step1, const OptimizeOptions& options)
 {
     ExactOptions exact_options;
     exact_options.threads = options.threads;
     if (options.exact_budget_ms > 0) {
         exact_options.node_limit = options.exact_budget_ms * exact_nodes_per_ms;
     }
-    for (const ChannelGroup& group : step1.architecture.groups()) {
+    for (const ChannelGroup& group : step1.groups()) {
         exact_options.seed.push_back(group.module_indices());
     }
     ExactResult exact = exact_search(tables, ate.vector_memory_depth, exact_options);
 
     ExactSummary summary;
     summary.wires = exact.wires;
-    summary.greedy_wires = step1.architecture.total_wires();
+    summary.greedy_wires = step1.total_wires();
     summary.gap = summary.greedy_wires - exact.wires;
     summary.nodes_explored = exact.nodes_explored;
     summary.certified = exact.certified;
     summary.groups = std::move(exact.groups);
     return summary;
+}
+
+/// The search of one solve: Step 1, then Step 2's walk unless
+/// step1_only, with the work the engine counted.
+DftPlan search(PackEngine& engine, const AteSpec& ate)
+{
+    const Step1Result step1 = run_step1(engine, ate);
+    DftPlan plan(step1.architecture, step1.max_sites);
+    if (!engine.options().step1_only) {
+        plan_step2(engine, step1, ate, plan);
+    }
+    plan.set_stats(engine.stats());
+    return plan;
 }
 
 } // namespace
@@ -45,46 +61,66 @@ Solution optimize_multi_site(const SocTimeTables& tables,
 {
     const Soc& soc = tables.soc();
     cell.validate();
-    PackEngine engine(tables, options);
-    const Step1Result step1 = run_step1(engine, cell.ate);
 
+    // Plan: the table set's plan of this cell shape, or a fresh search.
+    // A fresh plan is published when every answer it points at is; the
+    // engine outlives the solve's use of an unpublished one.
+    PackMemo* memo = options.memoize ? &tables.pack_memo() : nullptr;
+    const PlanKey key{cell.ate.vector_memory_depth, cell.ate.channels, options.broadcast,
+                      options.budget_search, options.step1_only};
+    const DftPlan* plan = memo != nullptr ? memo->find(key) : nullptr;
+    std::optional<PackEngine> engine;
+    std::optional<DftPlan> searched;
+    if (plan == nullptr) {
+        engine.emplace(tables, options);
+        searched.emplace(search(*engine, cell.ate));
+        if (memo != nullptr && searched->publishable()) {
+            plan = memo->publish(key, std::move(*searched));
+        }
+        if (plan == nullptr) {
+            plan = &*searched;
+        }
+    }
+
+    // Score every site point (Section 4), then materialize the winner.
     Solution solution;
     solution.soc_name = soc.name();
-    solution.channels_step1 = step1.channels;
-    solution.max_sites_step1 = step1.max_sites;
-
-    const Architecture* final_arch = &step1.architecture;
-    Step2Result step2{0, step1.architecture, {}, {}};
+    solution.channels_step1 = plan->step1_channels();
+    solution.max_sites_step1 = plan->max_sites();
+    std::size_t best_step = 0;
     if (options.step1_only) {
-        solution.sites = step1.max_sites;
-        solution.throughput =
-            evaluate_site_point(step1.max_sites, step1.architecture, cell, options).throughput;
+        solution.sites = plan->max_sites();
+        solution.throughput = evaluate_site_point(plan->max_sites(), plan->step1_channels(),
+                                                  plan->step1_cycles(), cell, options)
+                                  .throughput;
     } else {
-        step2 = run_step2(engine, step1, cell);
-        solution.sites = step2.best_sites;
-        solution.throughput = step2.best_throughput;
-        solution.site_curve = step2.curve;
-        final_arch = &step2.best_architecture;
+        Step2Score score = score_step2(*plan, cell, options);
+        best_step = score.best_step;
+        solution.sites = score.best_sites;
+        solution.throughput = score.best_throughput;
+        solution.site_curve = std::move(score.curve);
     }
+    const Architecture final_arch = options.step1_only ? plan->step1_architecture(tables)
+                                                       : plan->architecture_at(best_step, tables);
 
     if (options.exact) {
-        solution.exact = certify_step1(tables, cell.ate, step1, options);
+        solution.exact =
+            certify_step1(tables, cell.ate, plan->step1_architecture(tables), options);
     }
 
-    solution.channels_per_site = final_arch->channels();
-    solution.test_cycles = final_arch->test_cycles();
+    solution.channels_per_site = final_arch.channels();
+    solution.test_cycles = final_arch.test_cycles();
     solution.manufacturing_time = cell.ate.seconds_for(solution.test_cycles);
-    solution.groups.reserve(final_arch->groups().size());
-    for (const ChannelGroup& group : final_arch->groups()) {
-        solution.groups.push_back({group.width(), channels_from_wires(group.width()),
-                                   group.fill(), group.module_indices()});
+    solution.groups.reserve(final_arch.groups().size());
+    for (const ChannelGroup& group : final_arch.groups()) {
+        solution.groups.push_back({group.width(), group.fill(), group.module_indices()});
     }
     solution.module_names = tables.module_names();
     solution.erpct = design_erpct(soc, solution.channels_per_site, options.functional_pins,
                                   options.control_pads);
     solution.best_figure_of_merit_ = figure_of_merit(solution.throughput, options.retest);
 
-    solution.stats.packing = engine.stats();
+    solution.stats.packing = plan->stats();
     solution.stats.site_points = static_cast<std::int64_t>(solution.site_curve.size());
     solution.stats.threads = options.threads > 0
                                  ? options.threads

@@ -31,7 +31,21 @@ namespace mst {
 /// SocTimeTables dominates the pipeline's wall time, so callers running
 /// many scenarios against one SOC (batch and sweep, the bench harness,
 /// the CLI's Gantt rendering) construct the tables once and reuse them;
-/// the tables are immutable and safe to share across threads.
+/// the tables are safe to share across threads.
+///
+/// A solve runs in three steps:
+///   1. plan — the table set's DftPlan of this cell shape (depth, ATE
+///      channels, broadcast, budget_search, step1_only; see
+///      arch/pack_memo.hpp), or a fresh search (Step 1, then Step 2's
+///      walk over n) that is published for the next solve;
+///   2. score — the throughput model of Section 4 over every site point
+///      of the plan, with this solve's index and contact times, yields,
+///      abort-on-fail, retest and control pads;
+///   3. materialize — the winner's architecture, rebuilt once from the
+///      plan, and the solution around it.
+/// So every what-if over one cell shape searches once. With
+/// OptimizeOptions::memoize off the solve neither reads nor publishes
+/// plans.
 [[nodiscard]] Solution optimize_multi_site(const SocTimeTables& tables,
                                            const TestCell& cell,
                                            const OptimizeOptions& options = {});

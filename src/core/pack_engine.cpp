@@ -379,7 +379,7 @@ void PackEngine::count_work(int greedy_passes, bool pruned) noexcept
     stats_.pruned_packs += pruned ? 1 : 0;
 }
 
-std::optional<Architecture> PackEngine::pack_within(CycleCount depth, WireCount wire_budget)
+PackEngine::Packed PackEngine::pack(CycleCount depth, WireCount wire_budget)
 {
     ++stats_.pack_calls;
     if (!options_.memoize) {
@@ -387,19 +387,24 @@ std::optional<Architecture> PackEngine::pack_within(CycleCount depth, WireCount 
         DepthProfile fresh = make_profile(depth, nullptr);
         Computed computed = compute(depth, wire_budget, fresh);
         count_work(computed.greedy_passes, computed.pruned);
-        return std::move(computed.packed);
-    }
-    const auto unpack = [this](const PackAnswer& answer) -> std::optional<Architecture> {
-        if (!answer.packed()) {
-            return std::nullopt;
+        if (!computed.packed) {
+            return {};
         }
-        return answer.unpack(*tables_);
+        const PackAnswer& own =
+            own_answers_.emplace_back(*computed.packed, computed.greedy_passes);
+        return {std::move(computed.packed), &own, false};
+    }
+    const auto reuse = [this](const Answered& answered) -> Packed {
+        if (!answered.answer->packed()) {
+            return {};
+        }
+        return {answered.answer->unpack(*tables_), answered.answer, answered.published};
     };
     const auto key = std::make_pair(depth, wire_budget);
     const auto next = answers_.lower_bound(key);
     if (next != answers_.end() && next->first == key) {
         ++stats_.pack_cache_hits;
-        return unpack(*next->second);
+        return reuse(next->second);
     }
     // A depth's first miss in this solve counts as its profile, whether
     // the profile is built or a table-set answer spares the build.
@@ -412,19 +417,22 @@ std::optional<Architecture> PackEngine::pack_within(CycleCount depth, WireCount 
     const PackKey memo_key{depth, wire_budget, options_.budget_search};
     if (const PackAnswer* shared = memo.find(memo_key)) {
         count_work(shared->greedy_passes(), shared->pruned());
-        answers_.emplace_hint(next, key, shared);
-        return unpack(*shared);
+        return reuse(answers_.emplace_hint(next, key, Answered{shared, true})->second);
     }
     Computed computed = compute(depth, wire_budget, profile_for(depth));
     count_work(computed.greedy_passes, computed.pruned);
     PackAnswer answer = computed.packed ? PackAnswer(*computed.packed, computed.greedy_passes)
                                         : PackAnswer(computed.greedy_passes, computed.pruned);
     const PackAnswer* resident = memo.publish(memo_key, std::move(answer));
-    if (resident == nullptr) {
+    const bool published = resident != nullptr;
+    if (!published) {
         resident = &own_answers_.emplace_back(std::move(answer));
     }
-    answers_.emplace_hint(next, key, resident);
-    return std::move(computed.packed);
+    answers_.emplace_hint(next, key, Answered{resident, published});
+    if (!computed.packed) {
+        return {};
+    }
+    return {std::move(computed.packed), resident, published};
 }
 
 } // namespace mst

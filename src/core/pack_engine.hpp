@@ -33,10 +33,19 @@
 // profiles every query from scratch, sorts its own copy of both orders,
 // and never reads or writes the table set's memo.
 //
+// One level up, the same memo holds plans (DftPlan): a whole search's
+// Step 1 result and Step 2 trajectory per cell shape, charged against
+// the same cap. A solve that finds its plan runs no engine at all. A
+// plan points at the answers of its re-packs instead of copying them,
+// which is why pack() reports each packing's answer and whether the
+// memo took it; with memoize off the engine keeps the answers of its
+// packings itself, so a plan of the reference can be rebuilt too.
+//
 // Stats are per-solve logical work. A query answered from the table
 // set's memo adds the greedy passes and prune its answer recorded, and
 // a depth's first miss in the solve counts as a depth profile whether
-// or not the profile is built. So a solve's PackStats are the same
+// or not the profile is built. A solve that reuses a plan reports the
+// PackStats the plan recorded. So a solve's PackStats are the same
 // whatever other solves ran over the table set before, at any thread
 // count and in any order.
 //
@@ -99,7 +108,22 @@ public:
     /// every group fill within `depth`. Returns nullopt when no pass
     /// fits.
     [[nodiscard]] std::optional<Architecture> pack_within(CycleCount depth,
-                                                          WireCount wire_budget);
+                                                          WireCount wire_budget)
+    {
+        return pack(depth, wire_budget).architecture;
+    }
+
+    /// pack_within, plus the answer behind a packing: what a DftPlan
+    /// records to rebuild it later.
+    struct Packed {
+        std::optional<Architecture> architecture;
+        /// The packing's encoding (null without a packing). It lives as
+        /// long as the engine, and as long as the table set when
+        /// `published`, in the table set's memo.
+        const PackAnswer* answer = nullptr;
+        bool published = false;
+    };
+    [[nodiscard]] Packed pack(CycleCount depth, WireCount wire_budget);
 
 private:
     /// Everything about one virtual depth that is budget-independent.
@@ -152,8 +176,14 @@ private:
 
     std::map<CycleCount, DepthProfile> profiles_;
     /// This solve's answered (depth, budget) queries: pointers into the
-    /// table set's memo, or into own_answers_ once that memo is full.
-    std::map<std::pair<CycleCount, WireCount>, const PackAnswer*> answers_;
+    /// table set's memo (published), or into own_answers_ once that memo
+    /// is full.
+    struct Answered {
+        const PackAnswer* answer;
+        bool published;
+    };
+    std::map<std::pair<CycleCount, WireCount>, Answered> answers_;
+    /// Answers the memo did not take, and with memoize off the packings.
     std::deque<PackAnswer> own_answers_;
 };
 

@@ -39,9 +39,6 @@ void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& 
     WireCount wires = 0;
     std::vector<int> seen(static_cast<std::size_t>(soc.module_count()), 0);
     for (const GroupSummary& group : solution.groups) {
-        if (group.channels != channels_from_wires(group.wires)) {
-            throw ValidationError("group channel count is not twice its wire count");
-        }
         if (group.fill > ate.vector_memory_depth) {
             throw ValidationError("group fill exceeds the vector memory depth");
         }

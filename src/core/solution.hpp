@@ -37,9 +37,9 @@ struct OptimizerStats {
 /// Snapshot of one channel group, detached from the internal tables so a
 /// Solution owns its data. Members are SOC module indices, in member
 /// order; Solution::module_name() gives the name the reports print.
+/// The group's channels are channels_from_wires(wires).
 struct GroupSummary {
     WireCount wires = 0;
-    ChannelCount channels = 0;
     CycleCount fill = 0;
     std::vector<int> module_indices;
 };

@@ -1,6 +1,7 @@
 #include "core/step2.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -10,22 +11,23 @@
 namespace mst {
 
 SiteEvaluation evaluate_site_point(SiteCount sites,
-                                  const Architecture& architecture,
+                                  ChannelCount channels_per_site,
+                                  CycleCount test_cycles,
                                   const TestCell& cell,
                                   const OptimizeOptions& options)
 {
     ThroughputInputs inputs;
     inputs.sites = sites;
-    inputs.manufacturing_test_time = cell.ate.seconds_for(architecture.test_cycles());
-    inputs.contacted_terminals_per_soc = architecture.channels() + options.control_pads;
+    inputs.manufacturing_test_time = cell.ate.seconds_for(test_cycles);
+    inputs.contacted_terminals_per_soc = channels_per_site + options.control_pads;
 
     SiteEvaluation evaluation;
     evaluation.throughput =
         evaluate_throughput(inputs, cell.prober, options.yields, options.abort);
     SitePoint& point = evaluation.point;
     point.sites = sites;
-    point.channels_per_site = architecture.channels();
-    point.test_cycles = architecture.test_cycles();
+    point.channels_per_site = channels_per_site;
+    point.test_cycles = test_cycles;
     point.manufacturing_time = inputs.manufacturing_test_time;
     point.devices_per_hour = evaluation.throughput.devices_per_hour;
     point.unique_devices_per_hour = evaluation.throughput.unique_devices_per_hour;
@@ -75,78 +77,97 @@ namespace {
 /// whole per-site architecture for the full wire budget at the smallest
 /// feasible virtual depth can. The candidate depths, all below
 /// `beat_cycles`, are scanned bottom-up and the first that packs wins.
-std::optional<Architecture> repack_for_budget(PackEngine& engine,
-                                              CycleCount depth,
-                                              WireCount wire_budget,
-                                              CycleCount beat_cycles)
+PackEngine::Packed repack_for_budget(PackEngine& engine,
+                                     CycleCount depth,
+                                     WireCount wire_budget,
+                                     CycleCount beat_cycles)
 {
     for (const CycleCount candidate :
          repack_candidates(engine.tables(), depth, wire_budget, beat_cycles)) {
-        if (std::optional<Architecture> packed = engine.pack_within(candidate, wire_budget)) {
+        if (PackEngine::Packed packed = engine.pack(candidate, wire_budget);
+            packed.architecture) {
             return packed;
         }
     }
-    return std::nullopt;
+    return {};
 }
 
 } // namespace
 
-Step2Result run_step2(PackEngine& engine, const Step1Result& step1, const TestCell& cell)
+void plan_step2(PackEngine& engine, const Step1Result& step1, const AteSpec& ate,
+                DftPlan& plan)
 {
     const OptimizeOptions& options = engine.options();
-    cell.validate();
     if (step1.max_sites < 1) {
         throw ValidationError("Step 2 requires a feasible Step-1 result");
     }
-
-    Step2Result result{0, step1.architecture, {}, {}};
-    result.curve.reserve(static_cast<std::size_t>(step1.max_sites));
-    DevicesPerHour best = -1.0;
     // `incumbent` carries the best architecture found so far down the
     // linear search; the per-site budget only grows as n shrinks, so the
     // incumbent always fits and the test time is monotone along the
-    // curve. It mutates rarely (only when the budget boundary frees
-    // wires or a re-pack wins), so the winner's copy is refreshed only
-    // when a new best point finds it changed since the last copy.
+    // curve. The plan records every change to it: each wire the
+    // bottleneck gains, and each re-pack that replaces it.
     Architecture incumbent = step1.architecture;
-    bool incumbent_changed = false;
     for (SiteCount n = step1.max_sites; n >= 1; --n) {
         // Redistribute the channels freed up by giving up sites: every
         // site may grow to the per-site budget. Wires are handed one at a
         // time to the group with the largest fill (the bottleneck).
         const WireCount budget =
-            wires_from_channels(per_site_channel_budget(n, cell.ate.channels, options.broadcast));
-        const WireCount wires_before = incumbent.total_wires();
-        while (incumbent.total_wires() < budget &&
-               incumbent.add_wire_to_bottleneck(budget - incumbent.total_wires())) {
+            wires_from_channels(per_site_channel_budget(n, ate.channels, options.broadcast));
+        while (incumbent.total_wires() < budget) {
+            const std::optional<std::size_t> widened =
+                incumbent.add_wire_to_bottleneck(budget - incumbent.total_wires());
+            if (!widened) {
+                break;
+            }
+            plan.widen(*widened);
         }
         // Wire-by-wire widening cannot move modules between groups, so a
         // from-scratch re-pack of the site at the full budget can still
         // convert channels into test time; keep it only if it wins.
-        std::optional<Architecture> repacked =
-            repack_for_budget(engine, cell.ate.vector_memory_depth, budget,
-                              incumbent.test_cycles());
-        if (repacked) {
-            incumbent = std::move(*repacked);
+        PackEngine::Packed repacked = repack_for_budget(engine, ate.vector_memory_depth, budget,
+                                                        incumbent.test_cycles());
+        if (repacked.architecture) {
+            incumbent = std::move(*repacked.architecture);
+            plan.repack(*repacked.answer, repacked.published);
         }
-        if (repacked || incumbent.total_wires() != wires_before) {
-            incumbent_changed = true;
-        }
+        plan.add_point(n, incumbent);
+    }
+}
 
-        const SiteEvaluation evaluation = evaluate_site_point(n, incumbent, cell, options);
+Step2Score score_step2(const DftPlan& plan, const TestCell& cell, const OptimizeOptions& options)
+{
+    const std::vector<DftPlan::Step>& steps = plan.steps();
+    assert(!steps.empty() && steps.front().sites == plan.max_sites());
+    Step2Score score;
+    score.curve.reserve(static_cast<std::size_t>(plan.max_sites()));
+    DevicesPerHour best = -1.0;
+    std::size_t step = 0;
+    for (SiteCount n = plan.max_sites(); n >= 1; --n) {
+        if (step + 1 < steps.size() && steps[step + 1].sites == n) {
+            ++step;
+        }
+        const SiteEvaluation evaluation = evaluate_site_point(
+            n, steps[step].channels_per_site, steps[step].test_cycles, cell, options);
         // Strict improvement keeps the larger n on ties.
         if (evaluation.point.figure_of_merit > best) {
             best = evaluation.point.figure_of_merit;
-            result.best_sites = n;
-            result.best_throughput = evaluation.throughput;
-            if (incumbent_changed) {
-                result.best_architecture = incumbent;
-                incumbent_changed = false;
-            }
+            score.best_sites = n;
+            score.best_step = step;
+            score.best_throughput = evaluation.throughput;
         }
-        result.curve.push_back(evaluation.point);
+        score.curve.push_back(evaluation.point);
     }
-    return result;
+    return score;
+}
+
+Step2Result run_step2(PackEngine& engine, const Step1Result& step1, const TestCell& cell)
+{
+    cell.validate();
+    DftPlan plan(step1.architecture, step1.max_sites);
+    plan_step2(engine, step1, cell.ate, plan);
+    Step2Score score = score_step2(plan, cell, engine.options());
+    return {score.best_sites, plan.architecture_at(score.best_step, engine.tables()),
+            score.best_throughput, std::move(score.curve)};
 }
 
 Step2Result run_step2(const Step1Result& step1,

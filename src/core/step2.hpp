@@ -27,14 +27,36 @@ struct SiteEvaluation {
 };
 
 /// Evaluate the throughput model (Section 4) for `sites` sites, each
-/// tested through `architecture`.
+/// tested through an architecture of `channels_per_site` channels and
+/// `test_cycles` cycles.
 [[nodiscard]] SiteEvaluation evaluate_site_point(SiteCount sites,
-                                                 const Architecture& architecture,
+                                                 ChannelCount channels_per_site,
+                                                 CycleCount test_cycles,
                                                  const TestCell& cell,
                                                  const OptimizeOptions& options);
 
+/// Step 2's search, score-free: walk n from the Step-1 result's n_max
+/// down to 1 over the packing engine Step 1 used, and record the
+/// incumbent at every n into `plan` (built from that same result). The
+/// walk reads the ATE and the engine's options, never the score.
+void plan_step2(PackEngine& engine, const Step1Result& step1, const AteSpec& ate,
+                DftPlan& plan);
+
+/// Section 4's score of a plan's Step 2 trajectory: every n from n_max
+/// down to 1 evaluated, and the best by strict improvement of the
+/// figure of merit, so ties keep the larger n.
+struct Step2Score {
+    SiteCount best_sites = 0;
+    std::size_t best_step = 0;       ///< the plan step holding best_sites
+    ThroughputResult best_throughput;
+    std::vector<SitePoint> curve;
+};
+[[nodiscard]] Step2Score score_step2(const DftPlan& plan, const TestCell& cell,
+                                     const OptimizeOptions& options);
+
 /// Run Step 2 starting from a Step-1 architecture, sharing the packing
-/// engine (and its memo) with Step 1's budget search.
+/// engine (and its memo) with Step 1's budget search: plan_step2, then
+/// score_step2, then the winner's architecture.
 [[nodiscard]] Step2Result run_step2(PackEngine& engine,
                                     const Step1Result& step1,
                                     const TestCell& cell);

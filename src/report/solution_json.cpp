@@ -1,5 +1,6 @@
 #include "report/solution_json.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <type_traits>
 #include <utility>
@@ -7,11 +8,8 @@
 
 namespace mst {
 
-/// RFC 8259 string escaping (control characters, quote, backslash).
-std::string json_escape(const std::string& text)
+void append_json_escaped(std::string& out, std::string_view text)
 {
-    std::string out;
-    out.reserve(text.size() + 2);
     for (const char ch : text) {
         switch (ch) {
         case '"':
@@ -39,28 +37,57 @@ std::string json_escape(const std::string& text)
             }
         }
     }
+}
+
+std::string json_escape(const std::string& text)
+{
+    std::string out;
+    out.reserve(text.size() + 2);
+    append_json_escaped(out, text);
     return out;
+}
+
+void append_json_number(std::string& out, double value)
+{
+    // General format at precision 6 is printf's %.6g by definition.
+    char buffer[32];
+    const std::to_chars_result written =
+        std::to_chars(buffer, buffer + sizeof buffer, value, std::chars_format::general, 6);
+    out.append(buffer, written.ptr);
 }
 
 std::string json_number(double value)
 {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.6g", value);
-    return buffer;
+    std::string out;
+    append_json_number(out, value);
+    return out;
 }
 
 namespace {
 
-/// The string solution_to_json appends to: `<<` takes text, characters
-/// and integers (in the digits an ostream prints).
+/// A JSON string value: `<<` writes it quoted and escaped.
+struct Quoted {
+    std::string_view text;
+};
+
+/// The string solution_to_json appends to: `<<` takes text, characters,
+/// integers (in the digits an ostream prints), doubles (as json_number
+/// prints them) and Quoted strings.
 struct JsonText {
     std::string text;
 
     template <class Piece>
     JsonText& operator<<(const Piece& piece)
     {
-        if constexpr (std::is_integral_v<Piece> && !std::is_same_v<Piece, char>) {
-            text += std::to_string(piece);
+        if constexpr (std::is_same_v<Piece, Quoted>) {
+            text += '"';
+            append_json_escaped(text, piece.text);
+            text += '"';
+        } else if constexpr (std::is_floating_point_v<Piece>) {
+            append_json_number(text, piece);
+        } else if constexpr (std::is_integral_v<Piece> && !std::is_same_v<Piece, char>) {
+            char buffer[24];
+            text.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, piece).ptr);
         } else {
             text += piece;
         }
@@ -72,8 +99,7 @@ struct JsonText {
     void names(const Solution& solution, const std::vector<int>& members)
     {
         for (std::size_t m = 0; m < members.size(); ++m) {
-            *this << (m == 0 ? "\"" : ", \"") << json_escape(solution.module_name(members[m]))
-                  << '"';
+            *this << (m == 0 ? "" : ", ") << Quoted{solution.module_name(members[m])};
         }
     }
 };
@@ -92,15 +118,14 @@ std::string solution_to_json(const Solution& solution, JsonStyle style)
 
     JsonText out;
     out << open;
-    out << key << "soc\": \"" << json_escape(solution.soc_name) << "\"" << sep;
+    out << key << "soc\": " << Quoted{solution.soc_name} << sep;
     out << key << "sites\": " << solution.sites << sep;
     out << key << "channels_per_site\": " << solution.channels_per_site << sep;
     out << key << "test_cycles\": " << solution.test_cycles << sep;
-    out << key << "manufacturing_time_s\": " << json_number(solution.manufacturing_time) << sep;
-    out << key << "devices_per_hour\": " << json_number(solution.throughput.devices_per_hour)
-        << sep;
+    out << key << "manufacturing_time_s\": " << solution.manufacturing_time << sep;
+    out << key << "devices_per_hour\": " << solution.throughput.devices_per_hour << sep;
     out << key << "unique_devices_per_hour\": "
-        << json_number(solution.throughput.unique_devices_per_hour) << sep;
+        << solution.throughput.unique_devices_per_hour << sep;
     out << key << "step1\": { \"channels\": " << solution.channels_step1
         << ", \"max_sites\": " << solution.max_sites_step1 << " }" << sep;
     if (solution.exact) {
@@ -126,7 +151,8 @@ std::string solution_to_json(const Solution& solution, JsonStyle style)
     for (std::size_t g = 0; g < solution.groups.size(); ++g) {
         const GroupSummary& group = solution.groups[g];
         out << (g == 0 ? (pretty ? "\n" : "") : sep) << item;
-        out << "{ \"wires\": " << group.wires << ", \"channels\": " << group.channels
+        out << "{ \"wires\": " << group.wires
+            << ", \"channels\": " << channels_from_wires(group.wires)
             << ", \"fill_cycles\": " << group.fill << ", \"modules\": [";
         out.names(solution, group.module_indices);
         out << "] }";
@@ -139,7 +165,7 @@ std::string solution_to_json(const Solution& solution, JsonStyle style)
         out << (i == 0 ? (pretty ? "\n" : "") : sep) << item;
         out << "{ \"sites\": " << point.sites << ", \"channels_per_site\": "
             << point.channels_per_site << ", \"test_cycles\": " << point.test_cycles
-            << ", \"devices_per_hour\": " << json_number(point.devices_per_hour) << " }";
+            << ", \"devices_per_hour\": " << point.devices_per_hour << " }";
     }
     out << (pretty ? "\n  ]\n}\n" : "]}");
     // Callers keep documents (the serve outcome cache, reply buffers):

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "core/solution.hpp"
 
@@ -27,8 +28,14 @@ enum class JsonStyle {
 /// backslash, double quote, and control characters).
 [[nodiscard]] std::string json_escape(const std::string& text);
 
+/// json_escape, appended to `out` with no temporary.
+void append_json_escaped(std::string& out, std::string_view text);
+
 /// A JSON number as printf's `%.6g` prints it: the one number format of
 /// every JSON document mst writes (solutions, sweep reports, BENCH files).
 [[nodiscard]] std::string json_number(double value);
+
+/// json_number, appended to `out` with no temporary.
+void append_json_number(std::string& out, double value);
 
 } // namespace mst

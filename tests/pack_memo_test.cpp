@@ -3,16 +3,21 @@
 // exactly like a solve over a fresh table set, in any solve order, at
 // any fill level of the memo, and under concurrent solves. "Exactly"
 // covers the whole solution JSON and every work counter but `threads`:
-// a solve that reuses an answer reports its recorded work as its own.
+// a solve that reuses an answer or a whole plan reports its recorded
+// work as its own.
 //
 // The grid: a 3000-module narrow-deep SOC, p93791 and two random SOCs,
-// each x {256, 512, 1024} channels x {2M, 7M, 32M} vectors x {plain,
-// broadcast, abort-on-fail, retest}.
+// each x {256, 512, 1024} channels x {2M, 7M, 32M} vectors x the
+// variants below. Most variants only change the throughput score, so
+// over one table set they share one plan per cell shape; broadcast,
+// step1_only and the paper's greedy (budget_search off) each plan their
+// own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +26,11 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/optimizer.hpp"
+#include "core/pack_engine.hpp"
+#include "core/step1.hpp"
+#include "core/step2.hpp"
 #include "report/solution_json.hpp"
+#include "soc/d695.hpp"
 #include "soc/generator.hpp"
 #include "soc/profiles.hpp"
 
@@ -34,22 +43,45 @@ struct GridScenario {
     std::string name;
 };
 
+constexpr int variant_count = 9;
+
+/// Variant `variant` of the grid, applied to `scenario`.
+void apply_variant(int variant, GridScenario& scenario)
+{
+    OptimizeOptions& options = scenario.options;
+    ProbeStation& prober = scenario.cell.prober;
+    switch (variant) {
+    case 1: options.broadcast = BroadcastMode::stimuli; break;
+    case 2: options.abort = AbortOnFail::on; break;
+    case 3: options.retest = RetestPolicy::retest_contact_failures; break;
+    case 4: prober.index_time = 0.5; break; // the default, spelled out
+    case 5:
+        prober.index_time = 2.0;
+        prober.contact_test_time = 0.5;
+        break;
+    case 6: options.step1_only = true; break;
+    case 7: options.budget_search = false; break;
+    case 8:
+        options.yields.contact_yield_per_terminal = 0.999;
+        options.yields.manufacturing_yield = 0.9;
+        options.abort = AbortOnFail::on;
+        options.retest = RetestPolicy::retest_contact_failures;
+        break;
+    default: break;
+    }
+}
+
 std::vector<GridScenario> grid()
 {
     std::vector<GridScenario> scenarios;
     for (const int channels : {256, 512, 1024}) {
         for (const CycleCount depth : {2 * mebi, 7 * mebi, 32 * mebi}) {
-            for (int variant = 0; variant < 4; ++variant) {
+            for (int variant = 0; variant < variant_count; ++variant) {
                 GridScenario scenario;
                 scenario.cell.ate.channels = channels;
                 scenario.cell.ate.vector_memory_depth = depth;
                 scenario.options.threads = 1;
-                switch (variant) {
-                case 1: scenario.options.broadcast = BroadcastMode::stimuli; break;
-                case 2: scenario.options.abort = AbortOnFail::on; break;
-                case 3: scenario.options.retest = RetestPolicy::retest_contact_failures; break;
-                default: break;
-                }
+                apply_variant(variant, scenario);
                 scenario.name = std::to_string(channels) + "x" + std::to_string(depth) + "/v" +
                                 std::to_string(variant);
                 scenarios.push_back(scenario);
@@ -57,6 +89,19 @@ std::vector<GridScenario> grid()
         }
     }
     return scenarios;
+}
+
+/// The grid's indices in a fixed shuffled order.
+std::vector<std::size_t> shuffled_order(std::size_t count)
+{
+    std::vector<std::size_t> order(count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    Rng rng(test_seeds::pack_memo[0]);
+    for (std::size_t i = count - 1; i > 0; --i) {
+        const auto j = rng.uniform_int(0, static_cast<std::int64_t>(i));
+        std::swap(order[i], order[static_cast<std::size_t>(j)]);
+    }
+    return order;
 }
 
 /// One solve's observable outcome: the solution JSON (or the error) and
@@ -125,26 +170,43 @@ const std::vector<Outcome>& fresh_outcomes(const std::string& name, const Soc& s
 
 class PackMemoGrid : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(PackMemoGrid, SharedTableSetMatchesFreshSolvesForwardAndReversed)
+TEST_P(PackMemoGrid, SharedTableSetMatchesFreshSolvesForwardAndShuffled)
 {
     const Soc soc = soc_named(GetParam());
     const std::vector<GridScenario> scenarios = grid();
     const std::vector<Outcome>& fresh = fresh_outcomes(GetParam(), soc);
 
+    // Forward over one table set, then shuffled over it (every solve a
+    // plan hit), then shuffled over another (plans found out of order).
     const SocTimeTables tables(soc, TableBuild::fast, 1);
     for (std::size_t k = 0; k < scenarios.size(); ++k) {
         expect_same(solve(tables, scenarios[k]), fresh[k],
                     std::string(GetParam()) + " forward " + scenarios[k].name);
     }
-    const std::size_t filled = tables.pack_memo().size();
+    const PackMemo& memo = tables.pack_memo();
+    const std::size_t filled = memo.size();
+    const std::size_t plans = memo.plan_count();
     EXPECT_GT(filled, 0U);
-    for (std::size_t k = scenarios.size(); k-- > 0;) {
+    // One plan per cell shape that Step 1 can test: the score-only
+    // variants share the plain plan.
+    EXPECT_LE(plans, 9U * 4U);
+    EXPECT_GT(plans, 0U);
+    const std::vector<std::size_t> order = shuffled_order(scenarios.size());
+    for (const std::size_t k : order) {
         expect_same(solve(tables, scenarios[k]), fresh[k],
-                    std::string(GetParam()) + " reversed " + scenarios[k].name);
+                    std::string(GetParam()) + " shuffled " + scenarios[k].name);
     }
-    // The second pass asks nothing new.
-    EXPECT_EQ(tables.pack_memo().size(), filled);
-    EXPECT_LE(tables.pack_memo().charged_words(), tables.pack_memo().capacity_words());
+    // The second pass searches nothing new.
+    EXPECT_EQ(memo.size(), filled);
+    EXPECT_EQ(memo.plan_count(), plans);
+    EXPECT_LE(memo.charged_words(), memo.capacity_words());
+
+    const SocTimeTables other(soc, TableBuild::fast, 1);
+    for (const std::size_t k : order) {
+        expect_same(solve(other, scenarios[k]), fresh[k],
+                    std::string(GetParam()) + " shuffled fresh " + scenarios[k].name);
+    }
+    EXPECT_EQ(other.pack_memo().plan_count(), plans);
 }
 
 TEST_P(PackMemoGrid, FullMemoStillAnswersLikeFreshSolves)
@@ -174,6 +236,7 @@ TEST_P(PackMemoGrid, FullMemoStillAnswersLikeFreshSolves)
         EXPECT_LE(memo.charged_words(), memo.capacity_words());
         if (slack == 0) {
             EXPECT_EQ(memo.size(), before);
+            EXPECT_EQ(memo.plan_count(), 0U);
         }
     }
 }
@@ -238,6 +301,76 @@ TEST(PackMemo, StepOneModesKeepTheirOwnAnswers)
         expect_same(solve(shared, scenario), solve(fresh, scenario),
                     budget_search ? "budget search" : "paper greedy");
     }
+}
+
+TEST(PlanMemo, ExactCertificationOnAPlanHitMatchesAFreshSolve)
+{
+    // The exact pass is seeded with Step 1's groups: a plan hit rebuilds
+    // them from the plan, and the branch and bound must walk the same
+    // tree (bnb_nodes) as over a fresh table set.
+    const Soc soc = make_d695();
+    GridScenario scenario;
+    scenario.cell.ate.channels = 512;
+    scenario.cell.ate.vector_memory_depth = 32 * kibi;
+    scenario.options.threads = 1;
+    const SocTimeTables tables(soc, TableBuild::fast, 1);
+    (void)solve(tables, scenario); // publishes the plan, no exact pass
+    ASSERT_EQ(tables.pack_memo().plan_count(), 1U);
+
+    scenario.options.exact = true;
+    const SocTimeTables fresh(soc, TableBuild::fast, 1);
+    const Outcome want = solve(fresh, scenario);
+    ASSERT_NE(want.json.find("\"bnb_nodes\""), std::string::npos);
+    expect_same(solve(tables, scenario), want, "d695 exact on a plan hit");
+    EXPECT_EQ(tables.pack_memo().plan_count(), 1U);
+}
+
+TEST(PlanMemo, ReferenceModeIgnoresAPoisonedPlanThatMemoizedSolvesRead)
+{
+    // Publish the plan of a 1024-channel cell under the key of a
+    // 512-channel one: a solve that reads it cannot match a fresh solve.
+    const Soc soc = make_benchmark_soc("p93791");
+    const SocTimeTables tables(soc, TableBuild::fast, 1);
+    GridScenario scenario;
+    scenario.options.threads = 1;
+    scenario.cell.ate.channels = 1024;
+    PackEngine engine(tables, scenario.options);
+    const Step1Result step1 = run_step1(engine, scenario.cell.ate);
+    DftPlan bogus(step1.architecture, step1.max_sites);
+    plan_step2(engine, step1, scenario.cell.ate, bogus);
+    bogus.set_stats(engine.stats());
+    ASSERT_TRUE(bogus.publishable());
+
+    scenario.cell.ate.channels = 512;
+    const SocTimeTables fresh(soc, TableBuild::fast, 1);
+    const Outcome want = solve(fresh, scenario);
+    const PlanKey key{scenario.cell.ate.vector_memory_depth, scenario.cell.ate.channels,
+                      BroadcastMode::none, true, false};
+    ASSERT_NE(tables.pack_memo().publish(key, std::move(bogus)), nullptr);
+
+    GridScenario reference = scenario;
+    reference.options.memoize = false;
+    const Outcome got = solve(tables, reference);
+    EXPECT_EQ(got.json, want.json);
+    EXPECT_EQ(tables.pack_memo().plan_count(), 1U);
+
+    // The poison is live: a memoized solve does read it.
+    EXPECT_NE(solve(tables, scenario).json, want.json);
+}
+
+TEST(PlanMemo, APlanPointingAtAnUnpublishedAnswerIsNotPublishable)
+{
+    const Soc soc = make_d695();
+    const SocTimeTables tables(soc, TableBuild::fast, 1);
+    const Step1Result step1 = run_step1(tables, TestCell{}.ate, OptimizeOptions{});
+    const PackAnswer answer(step1.architecture, 1);
+
+    DftPlan plan(step1.architecture, step1.max_sites);
+    EXPECT_TRUE(plan.publishable());
+    plan.repack(answer, true);
+    EXPECT_TRUE(plan.publishable());
+    plan.repack(answer, false);
+    EXPECT_FALSE(plan.publishable());
 }
 
 TEST(PackMemo, RacingSolvesOnOneTableSetMatchSerialSolves)

@@ -1,9 +1,16 @@
 // Tests for the JSON solution exporter.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "core/optimizer.hpp"
 #include "report/solution_json.hpp"
@@ -65,6 +72,99 @@ TEST(SolutionJson, EscapesHostileNames)
     solution.soc_name = "evil\"\\\nname";
     const std::string json = solution_to_json(solution);
     EXPECT_NE(json.find("evil\\\"\\\\\\nname"), std::string::npos);
+}
+
+TEST(SolutionJson, EscapesControlCharactersAsUnicode)
+{
+    std::string text;
+    for (int ch = 0; ch < 0x20; ++ch) {
+        text += static_cast<char>(ch);
+    }
+    text += "plain \x7f\xc3\xa9";
+    std::string want;
+    for (int ch = 0; ch < 0x20; ++ch) {
+        char buffer[8];
+        switch (ch) {
+        case '\n': want += "\\n"; break;
+        case '\r': want += "\\r"; break;
+        case '\t': want += "\\t"; break;
+        default:
+            std::snprintf(buffer, sizeof buffer, "\\u%04x", ch);
+            want += buffer;
+        }
+    }
+    want += "plain \x7f\xc3\xa9";
+    EXPECT_EQ(json_escape(text), want);
+    std::string appended = "[";
+    append_json_escaped(appended, text);
+    EXPECT_EQ(appended, "[" + want);
+}
+
+/// printf's `%.6g`: the format json_number promises.
+std::string printf_g6(double value)
+{
+    char buffer[64];
+    std::snprintf(buffer, sizeof buffer, "%.6g", value);
+    return buffer;
+}
+
+TEST(SolutionJson, NumbersPrintAsPrintfG6)
+{
+    std::vector<double> values = {0.0,
+                                  -0.0,
+                                  1.0,
+                                  -1.0,
+                                  0.5,
+                                  123456.0,
+                                  1234567.0,
+                                  999999.5,
+                                  9999995.0,
+                                  0.0001,
+                                  0.00001,
+                                  0.000123456789,
+                                  1e-5,
+                                  1e16,
+                                  std::numeric_limits<double>::min(),
+                                  std::numeric_limits<double>::denorm_min(),
+                                  std::numeric_limits<double>::max(),
+                                  std::numeric_limits<double>::lowest(),
+                                  std::numeric_limits<double>::epsilon(),
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity()};
+    // Powers of ten and their neighbours, across the whole range.
+    for (int exponent = -320; exponent <= 308; ++exponent) {
+        const double power = std::pow(10.0, exponent);
+        values.insert(values.end(), {power, -power, std::nextafter(power, 0.0),
+                                     std::nextafter(power, HUGE_VAL)});
+    }
+    // Integers, including the ones %.6g has to round.
+    for (std::int64_t i = -2000; i <= 2000; ++i) {
+        values.push_back(static_cast<double>(i));
+        values.push_back(static_cast<double>(i * 99'991));
+        values.push_back(static_cast<double>(i * 1'000'003'001LL));
+    }
+    // Random doubles: uniform bit patterns (subnormals and every
+    // exponent), then the magnitudes solutions print.
+    std::mt19937_64 bits(20240611);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t pattern = bits();
+        double value = 0;
+        std::memcpy(&value, &pattern, sizeof value);
+        if (!std::isnan(value)) {
+            values.push_back(value);
+        }
+        values.push_back(std::ldexp(static_cast<double>(pattern >> 11), -1074));
+        const double unit = static_cast<double>(pattern >> 11) / 9007199254740992.0;
+        values.push_back(unit * 1e5);
+        values.push_back(-unit * 1e-3);
+        values.push_back(std::round(unit * 1e9) / 1e3);
+    }
+    for (const double value : values) {
+        std::string appended = "x";
+        append_json_number(appended, value);
+        ASSERT_EQ(json_number(value), printf_g6(value)) << std::hexfloat << value;
+        ASSERT_EQ(appended, "x" + printf_g6(value)) << std::hexfloat << value;
+    }
 }
 
 TEST(SolutionJson, Deterministic)
