@@ -94,6 +94,27 @@ public:
         total_fill_ += group.fill() - before;
     }
 
+    /// Append a group of `width` wires holding `members` modules, the
+    /// indices `next()` returns in member order, built in one step
+    /// (ChannelGroup::add_modules): the state add_group and add_module
+    /// per index leave. Returns the group's index.
+    template <class NextIndex>
+    std::size_t add_group(WireCount width, std::size_t members, NextIndex next)
+    {
+        const std::size_t index = add_group(width);
+        ChannelGroup& group = groups_[index];
+        group.add_modules(members, next);
+        group_fills_[index] = group.fill();
+        total_fill_ += group.fill();
+        return index;
+    }
+
+    /// The groups, moved out: the architecture is spent.
+    [[nodiscard]] std::vector<ChannelGroup> release_groups() && noexcept
+    {
+        return std::move(groups_);
+    }
+
     /// Grow group `group_index`; members are re-wrapped at the new width.
     void widen_group(std::size_t group_index, WireCount extra_wires);
 

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/executor.hpp"
+#include "wrapper/erpct.hpp"
 
 namespace mst {
 
@@ -141,16 +142,18 @@ const std::vector<int>& SocTimeTables::time_order() const
     return built_->by_time;
 }
 
-const std::shared_ptr<const std::vector<std::string>>& SocTimeTables::module_names() const
+const std::shared_ptr<const ModuleNames>& SocTimeTables::module_names() const
 {
-    std::call_once(built_->names_built, [this] {
-        auto names = std::make_shared<std::vector<std::string>>();
-        for (const Module& module : soc_->modules()) {
-            names->push_back(module.name());
-        }
-        built_->names = std::move(names);
-    });
+    std::call_once(built_->names_built,
+                   [this] { built_->names = std::make_shared<const ModuleNames>(*soc_); });
     return built_->names;
+}
+
+int SocTimeTables::estimated_functional_pins() const
+{
+    std::call_once(built_->pins_built,
+                   [this] { built_->functional_pins = estimate_functional_pins(*soc_); });
+    return built_->functional_pins;
 }
 
 PackMemo& SocTimeTables::pack_memo() const

@@ -24,12 +24,12 @@
 #include <mutex>
 #include <new>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "arch/pack_memo.hpp"
 #include "common/types.hpp"
+#include "report/module_names.hpp"
 #include "soc/soc.hpp"
 #include "wrapper/pareto.hpp"
 
@@ -66,10 +66,12 @@ using TableArray = std::vector<T, DefaultInitAllocator<T>>;
 /// The SOC must outlive the tables. Immutable after construction, with
 /// two exceptions:
 ///   * the two depth-independent module orders (volume_order(),
-///     time_order()) and the module names table (module_names()) are
-///     built on first use, each at most once per table set under
+///     time_order()), the module names table (module_names()) and the
+///     functional pin estimate (estimated_functional_pins()) are built
+///     on first use, each at most once per table set under
 ///     std::call_once: concurrent first calls build it once, and every
-///     caller reads the same vector;
+///     caller reads the same value. None is built in the constructor,
+///     so a set that only packs never pays for them;
 ///   * the pack memo (pack_memo()) is built the same way and then grows:
 ///     every PackEngine over the set publishes the pack queries it
 ///     answers, under the memo's one mutex, and reuses the ones other
@@ -242,10 +244,17 @@ public:
     /// table set.
     [[nodiscard]] const std::vector<int>& time_order() const;
 
-    /// The SOC's module names by module index, built on first use, once
-    /// per table set. Shared, not borrowed: every Solution over the set
-    /// holds this pointer, so its names outlive the tables and the SOC.
-    [[nodiscard]] const std::shared_ptr<const std::vector<std::string>>& module_names() const;
+    /// The SOC's module names by module index, raw and JSON-quoted
+    /// (report/module_names.hpp), built on first use, once per table
+    /// set: each name is escaped here, not per solve. Shared, not
+    /// borrowed: every Solution over the set holds this pointer, so its
+    /// names outlive the tables and the SOC.
+    [[nodiscard]] const std::shared_ptr<const ModuleNames>& module_names() const;
+
+    /// estimate_functional_pins() of the SOC (wrapper/erpct.hpp), a sum
+    /// over every module's terminals: computed on first use, once per
+    /// table set, not per solve.
+    [[nodiscard]] int estimated_functional_pins() const;
 
     /// The table set's memo of answered pack queries (arch/pack_memo.hpp),
     /// shared by every PackEngine over this set. Built on first use.
@@ -282,7 +291,8 @@ private:
     TableArray<CycleCount> suffix_min_areas_;
     std::vector<std::int64_t> volumes_;
 
-    /// The once-built module orders, names table and pack memo.
+    /// The once-built module orders, names table, pin estimate and pack
+    /// memo.
     /// std::once_flag and the memo's mutex neither copy nor move, so they
     /// sit behind a pointer: the tables stay movable (the serve tables
     /// cache moves a restored set into its entry), and published memo
@@ -291,10 +301,12 @@ private:
         std::once_flag volume_built;
         std::once_flag time_built;
         std::once_flag names_built;
+        std::once_flag pins_built;
         std::once_flag memo_built;
         std::vector<int> by_volume;
         std::vector<int> by_time;
-        std::shared_ptr<const std::vector<std::string>> names;
+        std::shared_ptr<const ModuleNames> names;
+        int functional_pins = 0;
         std::optional<PackMemo> memo;
     };
     std::unique_ptr<OnFirstUse> built_ = std::make_unique<OnFirstUse>();
@@ -362,8 +374,37 @@ public:
         }
     }
 
+    /// add_module for `count` modules at once, the indices `next()`
+    /// returns in member order: the member list grows once, and one pass
+    /// over the members' time rows sums their times and table widths.
+    /// The group ends in the state add_module per index leaves.
+    template <class NextIndex>
+    void add_modules(std::size_t count, NextIndex next)
+    {
+        const std::size_t first = modules_.size();
+        modules_.resize(first + count);
+        CycleCount fill = fill_;
+        WireCount max_width = members_max_width_;
+        for (std::size_t i = first; i < modules_.size(); ++i) {
+            const int module_index = next();
+            modules_[i] = module_index;
+            const SocTimeTables::TimeRow row = tables_->time_row(module_index);
+            fill += row.at_width(width_);
+            max_width = std::max(max_width, static_cast<WireCount>(row.count));
+        }
+        fill_ = fill;
+        members_max_width_ = max_width;
+    }
+
     /// Grow the group; members are re-wrapped at the new width.
     void widen(WireCount extra_wires);
+
+    /// The member list, moved out: the group is spent (a materialized
+    /// solution takes its groups' members this way).
+    [[nodiscard]] std::vector<int> release_module_indices() && noexcept
+    {
+        return std::move(modules_);
+    }
 
     /// Re-arm a pooled group as if freshly constructed at `width`,
     /// keeping the heap buffers (PackScratch reuse).

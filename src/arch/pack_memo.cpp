@@ -1,5 +1,6 @@
 #include "arch/pack_memo.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -9,11 +10,15 @@ namespace mst {
 
 namespace {
 
-/// The memo's cap, in 16-bit words per SOC module. The largest plan-grid
-/// table set (p34392: 209 answers and 18 plans, 19 modules) fills about
-/// two thirds of it; the generated 3000- to 10000-module sets fill under
-/// 5%.
+/// The memo's cap, in 16-bit words per SOC module. The generated 3000-
+/// to 10000-module sets fill under 5% of it.
 constexpr std::size_t words_per_module = 2048;
+
+/// The cap's floor, in 16-bit words (256 KiB): ITC'02-sized SOCs would
+/// otherwise cap at a few dozen cell shapes (d695: 20,480 words by the
+/// per-module rate, where 16 cell shapes with and without broadcast
+/// take 27,074). At most 4 MiB across serve's 16 cached table sets.
+constexpr std::size_t min_capacity_words = 131072;
 
 /// Words charged per published answer or plan on top of its own words:
 /// the map node, the object and its bucket, rounded up.
@@ -80,10 +85,12 @@ Architecture PackAnswer::unpack(const SocTimeTables& tables) const
     const std::uint16_t* at = code_.data();
     const std::uint16_t* const end = at + code_.size();
     while (at != end) {
-        const std::size_t g = arch.add_group(static_cast<WireCount>(get_wide(at)));
+        const auto width = static_cast<WireCount>(get_wide(at));
         const std::uint32_t members = get_wide(at);
-        for (std::uint32_t i = 0; i < members; ++i) {
-            arch.add_module(g, static_cast<int>(wide ? get_wide(at) : *at++));
+        if (wide) {
+            arch.add_group(width, members, [&at] { return static_cast<int>(get_wide(at)); });
+        } else {
+            arch.add_group(width, members, [&at] { return static_cast<int>(*at++); });
         }
     }
     return arch;
@@ -163,7 +170,8 @@ std::size_t PackMemo::KeyHash::operator()(const PlanKey& key) const noexcept
 }
 
 PackMemo::PackMemo(int module_count)
-    : capacity_words_(words_per_module * static_cast<std::size_t>(module_count))
+    : capacity_words_(
+          std::max(min_capacity_words, words_per_module * static_cast<std::size_t>(module_count)))
 {
 }
 

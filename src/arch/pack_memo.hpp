@@ -36,10 +36,12 @@
 // solve that reuses it reports that work as its own.
 //
 // Bound: the memo stops accepting answers and plans once they would hold
-// more than 2,048 words (4 KiB) per SOC module, an entry costing its
-// words plus a fixed per-entry charge (capacity_words()). Later queries
-// and searches still compute; their results simply stay with the solve
-// that asked.
+// more than 2,048 words (4 KiB) per SOC module, and never less than
+// 131,072 words (256 KiB) per table set, an entry costing its words plus
+// a fixed per-entry charge (capacity_words()). The floor is for small
+// SOCs: at the per-module rate alone, d695's 10 modules would stop
+// publishing after a few dozen cell shapes. Later queries and searches
+// still compute; their results simply stay with the solve that asked.
 //
 // Thread safety: every find and publish takes one mutex; answers and
 // plans are never changed or erased once published, and the node-based
@@ -94,7 +96,8 @@ public:
 
     /// Rebuild the packing over `tables`, the set it was packed over:
     /// the same groups, widths, members and member order, hence the same
-    /// fills. Requires packed().
+    /// fills. Each group is built in one step from its width and members
+    /// (Architecture's bulk add_group). Requires packed().
     [[nodiscard]] Architecture unpack(const SocTimeTables& tables) const;
 
     /// Encoded packing size in 16-bit words (0 without a packing).
@@ -197,7 +200,7 @@ private:
 };
 
 /// One table set's answered pack queries and searched plans, capped by
-/// its module count (see the file comment).
+/// its module count, with a floor (see the file comment).
 class PackMemo {
 public:
     explicit PackMemo(int module_count);

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "arch/channel_group.hpp"
 #include "common/executor.hpp"
@@ -100,8 +101,8 @@ Solution optimize_multi_site(const SocTimeTables& tables,
         solution.throughput = score.best_throughput;
         solution.site_curve = std::move(score.curve);
     }
-    const Architecture final_arch = options.step1_only ? plan->step1_architecture(tables)
-                                                       : plan->architecture_at(best_step, tables);
+    Architecture final_arch = options.step1_only ? plan->step1_architecture(tables)
+                                                 : plan->architecture_at(best_step, tables);
 
     if (options.exact) {
         solution.exact =
@@ -111,12 +112,17 @@ Solution optimize_multi_site(const SocTimeTables& tables,
     solution.channels_per_site = final_arch.channels();
     solution.test_cycles = final_arch.test_cycles();
     solution.manufacturing_time = cell.ate.seconds_for(solution.test_cycles);
-    solution.groups.reserve(final_arch.groups().size());
-    for (const ChannelGroup& group : final_arch.groups()) {
-        solution.groups.push_back({group.width(), group.fill(), group.module_indices()});
+    // The architecture is spent: its member lists move into the summary.
+    std::vector<ChannelGroup> groups = std::move(final_arch).release_groups();
+    solution.groups.reserve(groups.size());
+    for (ChannelGroup& group : groups) {
+        solution.groups.push_back(
+            {group.width(), group.fill(), std::move(group).release_module_indices()});
     }
     solution.module_names = tables.module_names();
-    solution.erpct = design_erpct(soc, solution.channels_per_site, options.functional_pins,
+    solution.erpct = design_erpct(soc, solution.channels_per_site,
+                                  options.functional_pins > 0 ? options.functional_pins
+                                                              : tables.estimated_functional_pins(),
                                   options.control_pads);
     solution.best_figure_of_merit_ = figure_of_merit(solution.throughput, options.retest);
 

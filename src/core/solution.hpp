@@ -13,6 +13,7 @@
 #include "ate/ate.hpp"
 #include "common/types.hpp"
 #include "core/pack_stats.hpp"
+#include "report/module_names.hpp"
 #include "throughput/model.hpp"
 #include "wrapper/erpct.hpp"
 
@@ -97,14 +98,16 @@ struct Solution {
     // Search-effort counters (see OptimizerStats).
     OptimizerStats stats;
 
-    /// The SOC's module names by module index, shared with the table set
-    /// the solution was computed over (SocTimeTables::module_names()).
-    std::shared_ptr<const std::vector<std::string>> module_names;
+    /// The SOC's module names by module index, raw and JSON-quoted,
+    /// shared with the table set the solution was computed over
+    /// (SocTimeTables::module_names()): the writer copies each member's
+    /// quoted entry instead of escaping its name per solve.
+    std::shared_ptr<const ModuleNames> module_names;
 
     /// Name of SOC module `module_index`, as the reports print it.
     [[nodiscard]] const std::string& module_name(int module_index) const
     {
-        return (*module_names)[static_cast<std::size_t>(module_index)];
+        return module_names->name(module_index);
     }
 
     /// Devices/hour (or unique devices/hour under the re-test policy)

@@ -1,5 +1,6 @@
 #include "report/solution_json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <type_traits>
@@ -93,16 +94,41 @@ struct JsonText {
         }
         return *this;
     }
-
-    /// A list of module names, quoted and escaped, resolved from indices
-    /// through the solution's names table.
-    void names(const Solution& solution, const std::vector<int>& members)
-    {
-        for (std::size_t m = 0; m < members.size(); ++m) {
-            *this << (m == 0 ? "" : ", ") << Quoted{solution.module_name(members[m])};
-        }
-    }
 };
+
+// Upper bounds on the bytes solution_to_json writes besides the name
+// lists, in either style: its fixed text plus 24 bytes per number (any
+// integer, or any double as json_number prints it). A bound that falls
+// short would cost one regrowth, not a wrong byte.
+constexpr std::size_t number_bytes = 24;
+constexpr std::size_t header_bytes = 640 + 17 * number_bytes;
+constexpr std::size_t exact_group_bytes = 4;
+constexpr std::size_t group_bytes = 80 + 3 * number_bytes;
+constexpr std::size_t point_bytes = 96 + 4 * number_bytes;
+
+/// Bytes of name lists that partition the SOC's modules into `lists`
+/// lists, as a valid solution's groups (and exact groups) do.
+std::size_t partition_bytes(const ModuleNames& names, std::size_t lists)
+{
+    return names.quoted_bytes() + 2 * (names.size() - std::min(lists, names.size()));
+}
+
+/// solution_to_json's output size: the name lists exactly, the rest
+/// within the bounds above. Only a reservation: ModuleNames::append_list
+/// sizes each list from its own members.
+std::size_t document_bound(const Solution& solution)
+{
+    const ModuleNames& names = *solution.module_names;
+    std::size_t bytes = header_bytes + 6 * solution.soc_name.size() + 2 +
+                        group_bytes * solution.groups.size() +
+                        point_bytes * solution.site_curve.size() +
+                        partition_bytes(names, solution.groups.size());
+    if (solution.exact) {
+        bytes += exact_group_bytes * solution.exact->groups.size() +
+                 partition_bytes(names, solution.exact->groups.size());
+    }
+    return bytes;
+}
 
 } // namespace
 
@@ -116,7 +142,9 @@ std::string solution_to_json(const Solution& solution, JsonStyle style)
     const char* sep = pretty ? ",\n" : ",";
     const char* item = pretty ? "    " : "";
 
+    const ModuleNames& names = *solution.module_names;
     JsonText out;
+    out.text.reserve(document_bound(solution));
     out << open;
     out << key << "soc\": " << Quoted{solution.soc_name} << sep;
     out << key << "sites\": " << solution.sites << sep;
@@ -136,7 +164,7 @@ std::string solution_to_json(const Solution& solution, JsonStyle style)
             << (exact.certified ? "true" : "false") << ", \"groups\": [";
         for (std::size_t g = 0; g < exact.groups.size(); ++g) {
             out << (g == 0 ? "" : ", ") << '[';
-            out.names(solution, exact.groups[g]);
+            names.append_list(out.text, exact.groups[g]);
             out << ']';
         }
         out << "] }" << sep;
@@ -154,7 +182,7 @@ std::string solution_to_json(const Solution& solution, JsonStyle style)
         out << "{ \"wires\": " << group.wires
             << ", \"channels\": " << channels_from_wires(group.wires)
             << ", \"fill_cycles\": " << group.fill << ", \"modules\": [";
-        out.names(solution, group.module_indices);
+        names.append_list(out.text, group.module_indices);
         out << "] }";
     }
     out << (pretty ? "\n  ]" : "]") << sep;
@@ -169,7 +197,7 @@ std::string solution_to_json(const Solution& solution, JsonStyle style)
     }
     out << (pretty ? "\n  ]\n}\n" : "]}");
     // Callers keep documents (the serve outcome cache, reply buffers):
-    // hand back exact-size storage, not the slack of appending's growth.
+    // hand back exact-size storage, not the slack of the reservation.
     out.text.shrink_to_fit();
     return std::move(out.text);
 }

@@ -182,8 +182,8 @@ TEST(Optimizer, ValidateSolutionCatchesTampering)
     broken.module_names = nullptr;
     rejects(broken);
     broken = solution;
-    broken.module_names = std::make_shared<const std::vector<std::string>>(
-        solution.module_names->begin(), solution.module_names->end() - 1);
+    const std::vector<Module> fewer(soc.modules().begin(), soc.modules().end() - 1);
+    broken.module_names = std::make_shared<const ModuleNames>(Soc(soc.name(), fewer));
     rejects(broken);
 }
 

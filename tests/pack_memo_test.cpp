@@ -407,5 +407,152 @@ TEST(PackMemo, RacingSolvesOnOneTableSetMatchSerialSolves)
     }
 }
 
+/// `arch`'s groups rebuilt the slow way: add_group, then add_module per
+/// member.
+Architecture replayed(const Architecture& arch)
+{
+    Architecture replay(arch.tables());
+    for (const ChannelGroup& group : arch.groups()) {
+        const std::size_t g = replay.add_group(group.width());
+        for (const int module_index : group.module_indices()) {
+            replay.add_module(g, module_index);
+        }
+    }
+    return replay;
+}
+
+void expect_same_architecture(const Architecture& got, const Architecture& want,
+                              const std::string& where)
+{
+    ASSERT_EQ(got.groups().size(), want.groups().size()) << where;
+    for (std::size_t g = 0; g < want.groups().size(); ++g) {
+        const ChannelGroup& a = got.groups()[g];
+        const ChannelGroup& b = want.groups()[g];
+        EXPECT_EQ(a.width(), b.width()) << where << " group " << g;
+        EXPECT_EQ(a.module_indices(), b.module_indices()) << where << " group " << g;
+        EXPECT_EQ(a.fill(), b.fill()) << where << " group " << g;
+    }
+    EXPECT_EQ(got.group_fills(), want.group_fills()) << where;
+    EXPECT_EQ(got.group_widths(), want.group_widths()) << where;
+    EXPECT_EQ(got.total_fill(), want.total_fill()) << where;
+    EXPECT_EQ(got.total_wires(), want.total_wires()) << where;
+}
+
+/// Unpacking `arch`'s answer must equal the add_module replay, also
+/// after the same widenings of both (fills past the members' widest
+/// table saturate the same way).
+void expect_unpack_matches_replay(const Architecture& arch, const std::string& where)
+{
+    Architecture got = PackAnswer(arch, 1).unpack(arch.tables());
+    Architecture want = replayed(arch);
+    expect_same_architecture(got, want, where);
+    for (std::size_t g = 0; g < arch.groups().size(); ++g) {
+        for (const WireCount extra : {1, 3, 64}) {
+            got.widen_group(g, extra);
+            want.widen_group(g, extra);
+        }
+        (void)got.add_wire_to_bottleneck(8);
+        (void)want.add_wire_to_bottleneck(8);
+    }
+    expect_same_architecture(got, want, where + " widened");
+}
+
+TEST(PackAnswer, BulkUnpackMatchesAnAddModuleReplay)
+{
+    for (const char* name : {"p93791", "random-a", "gen300x-deep"}) {
+        const Soc soc = soc_named(name);
+        const SocTimeTables tables(soc, TableBuild::fast, 1);
+        for (const int channels : {256, 1024}) {
+            GridScenario scenario;
+            scenario.cell.ate.channels = channels;
+            scenario.options.threads = 1;
+            const std::string where = std::string(name) + " " + std::to_string(channels);
+            (void)optimize_multi_site(tables, scenario.cell, scenario.options);
+            const DftPlan* plan = tables.pack_memo().find(
+                PlanKey{scenario.cell.ate.vector_memory_depth, channels, BroadcastMode::none,
+                        true, false});
+            ASSERT_NE(plan, nullptr) << where;
+            expect_unpack_matches_replay(plan->step1_architecture(tables), where + " step1");
+            // Every incumbent of Step 2: a base unpacked, then architecture_at's
+            // widen replay.
+            ASSERT_FALSE(plan->steps().empty()) << where;
+            for (std::size_t step = 0; step < plan->steps().size(); ++step) {
+                const Architecture at = plan->architecture_at(step, tables);
+                EXPECT_EQ(at.channels(), plan->steps()[step].channels_per_site) << where;
+                EXPECT_EQ(at.test_cycles(), plan->steps()[step].test_cycles) << where;
+                expect_unpack_matches_replay(at, where + " step " + std::to_string(step));
+            }
+        }
+    }
+}
+
+TEST(PackAnswer, RoundTripsIndicesPastSixteenBits)
+{
+    // 70,000 one-terminal modules: indices from 65,536 up take the
+    // two-word encoding.
+    constexpr int count = 70000;
+    std::vector<Module> modules;
+    modules.reserve(count);
+    for (int m = 0; m < count; ++m) {
+        modules.emplace_back("m" + std::to_string(m), 1 + m % 3, 1 + m % 2, 0, 1 + m % 7,
+                             std::vector<FlipFlopCount>{});
+    }
+    const Soc soc("wide-index", std::move(modules));
+    const SocTimeTables tables(soc, TableBuild::fast, 1);
+
+    // 70 groups of 1,000 members each, the indices spread by a stride
+    // co-prime with the count, so every group mixes narrow and wide ones.
+    Architecture arch(tables);
+    std::size_t member = 0;
+    for (int g = 0; g < 70; ++g) {
+        const std::size_t group = arch.add_group(1 + g % 4);
+        for (int i = 0; i < 1000; ++i, ++member) {
+            arch.add_module(group, static_cast<int>(member * 7919 % count));
+        }
+    }
+    const PackAnswer answer(arch, 1);
+    EXPECT_EQ(answer.words(), 70U * 4U + 2U * count);
+    const Architecture got = answer.unpack(tables);
+    expect_same_architecture(got, arch, "wide indices");
+    expect_same_architecture(got, replayed(arch), "wide indices replay");
+    int widest = 0;
+    for (const ChannelGroup& group : got.groups()) {
+        for (const int module_index : group.module_indices()) {
+            widest = std::max(widest, module_index);
+        }
+    }
+    EXPECT_EQ(widest, count - 1);
+}
+
+TEST(PackMemo, SmallSocKeepsEveryPlanOfAWideSweep)
+{
+    // d695 has 10 modules: at 2,048 words per module the memo would stop
+    // publishing after a few dozen cell shapes. The floor keeps all 32.
+    const Soc soc = make_d695();
+    const SocTimeTables tables(soc, TableBuild::fast, 1);
+    std::size_t solved = 0;
+    for (const int channels : {128, 256, 512, 1024}) {
+        for (const CycleCount depth : {64 * kibi, 128 * kibi, 1 * mebi, 7 * mebi}) {
+            for (const BroadcastMode broadcast : {BroadcastMode::none, BroadcastMode::stimuli}) {
+                GridScenario scenario;
+                scenario.cell.ate.channels = channels;
+                scenario.cell.ate.vector_memory_depth = depth;
+                scenario.options.threads = 1;
+                scenario.options.broadcast = broadcast;
+                const Outcome got = solve(tables, scenario);
+                ASSERT_EQ(got.json.rfind("error", 0), std::string::npos) << got.json;
+                expect_same(got, solve(SocTimeTables(soc, TableBuild::fast, 1), scenario),
+                            std::to_string(channels) + "x" + std::to_string(depth));
+                ++solved;
+            }
+        }
+    }
+    const PackMemo& memo = tables.pack_memo();
+    EXPECT_EQ(memo.plan_count(), solved);
+    EXPECT_GT(memo.charged_words(), 2048U * 10U);
+    EXPECT_LE(memo.charged_words(), memo.capacity_words());
+    EXPECT_EQ(memo.capacity_words(), 131072U);
+}
+
 } // namespace
 } // namespace mst

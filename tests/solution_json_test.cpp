@@ -1,6 +1,7 @@
 // Tests for the JSON solution exporter.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -10,12 +11,18 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/optimizer.hpp"
+#include "report/module_names.hpp"
 #include "report/solution_json.hpp"
 #include "service/protocol.hpp"
 #include "soc/d695.hpp"
+#include "soc/generator.hpp"
+#include "wrapper/erpct.hpp"
 
 namespace mst {
 namespace {
@@ -236,6 +243,133 @@ TEST(SolutionJson, SolutionsShareTheTableSetNames)
     const Solution second = optimize_multi_site(tables, cell);
     EXPECT_EQ(first.module_names, tables.module_names());
     EXPECT_EQ(second.module_names, tables.module_names());
+}
+
+/// `soc` with module m renamed to names[m].
+Soc renamed(const Soc& soc, const std::vector<std::string>& names)
+{
+    std::vector<Module> modules;
+    for (std::size_t m = 0; m < soc.modules().size(); ++m) {
+        const Module& module = soc.modules()[m];
+        modules.emplace_back(names[m], module.inputs(), module.outputs(), module.bidirs(),
+                             module.patterns(), module.scan_chain_lengths());
+    }
+    return Soc(soc.name(), std::move(modules));
+}
+
+/// Ten module names that need every kind of escape, and some that need
+/// none: quotes, backslashes, newlines, tabs, other control bytes, DEL
+/// and UTF-8 (written as is).
+std::vector<std::string> hostile_names()
+{
+    return {"q\"uote",  "back\\slash", "new\nline",  "tab\tbed", "ctl\x01",
+            "del\x7f",  "caf\xc3\xa9",   "\xe6\xa8\xa1\xe5\x9d\x97", "mix\"\\\n\t\x01\x7f\x1f",
+            "plain"};
+}
+
+TEST(ModuleNamesTable, QuotedEntriesAreTheEscapedNames)
+{
+    const std::vector<std::string> names = hostile_names();
+    const ModuleNames table(renamed(make_d695(), names));
+    ASSERT_EQ(table.size(), names.size());
+    std::size_t quoted_bytes = 0;
+    for (std::size_t m = 0; m < names.size(); ++m) {
+        const int index = static_cast<int>(m);
+        EXPECT_EQ(table.name(index), names[m]);
+        EXPECT_EQ(table.quoted(index), '"' + json_escape(names[m]) + '"') << m;
+        quoted_bytes += table.quoted(index).size();
+    }
+    EXPECT_EQ(table.quoted_bytes(), quoted_bytes);
+
+    // A list is the quoted entries joined by ", ", sized exactly.
+    const std::vector<int> members = {9, 0, 8, 3, 7, 1, 6, 2, 5, 4};
+    std::string want = "[";
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        want += (i == 0 ? "\"" : ", \"") + json_escape(names[members[i]]) + '"';
+    }
+    std::string got = "[";
+    table.append_list(got, members);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(table.list_bytes(members), want.size() - 1);
+    for (const std::vector<int>& list : {std::vector<int>{}, std::vector<int>{8}}) {
+        std::string one;
+        table.append_list(one, list);
+        EXPECT_EQ(one.size(), table.list_bytes(list));
+    }
+}
+
+/// The solution writer's name lists, rebuilt by escaping every name per
+/// member: `plain` is the document of a solution whose modules are named
+/// "@<index>@", and each of those quoted markers becomes the quoted,
+/// escaped name.
+std::string escaped_per_name(std::string plain, const std::vector<std::string>& names)
+{
+    for (std::size_t m = 0; m < names.size(); ++m) {
+        const std::string marker = "\"@" + std::to_string(m) + "@\"";
+        const std::string value = '"' + json_escape(names[m]) + '"';
+        for (std::size_t at = plain.find(marker); at != std::string::npos;
+             at = plain.find(marker, at + value.size())) {
+            plain.replace(at, marker.size(), value);
+        }
+    }
+    return plain;
+}
+
+// A solution over an SOC whose names need escapes serializes exactly as
+// a writer that escapes each name per member would, TAM lists and exact
+// groups alike, and into exact-size storage.
+TEST(ModuleNamesTable, DocumentMatchesAPerNameEscapingWriter)
+{
+    const std::vector<std::string> names = hostile_names();
+    std::vector<std::string> markers;
+    for (std::size_t m = 0; m < names.size(); ++m) {
+        markers.push_back("@" + std::to_string(m) + "@");
+    }
+    TestCell cell;
+    cell.ate.channels = 512;
+    cell.ate.vector_memory_depth = 32 * kibi;
+    OptimizeOptions options;
+    options.exact = true;
+    const Solution hostile = optimize_multi_site(renamed(make_d695(), names), cell, options);
+    const Solution marked = optimize_multi_site(renamed(make_d695(), markers), cell, options);
+    ASSERT_TRUE(hostile.exact.has_value());
+    ASSERT_GT(hostile.exact->gap, 0); // the exact groups print their own lists
+    for (const JsonStyle style : {JsonStyle::pretty, JsonStyle::compact}) {
+        const std::string got = solution_to_json(hostile, style);
+        EXPECT_EQ(got, escaped_per_name(solution_to_json(marked, style), names));
+        EXPECT_NE(got.find("\\u0001"), std::string::npos);
+        EXPECT_EQ(got.capacity(), got.size());
+    }
+}
+
+TEST(ModuleNamesTable, ConcurrentFirstUseBuildsOneTable)
+{
+    const Soc soc = random_soc(test_seeds::pack_memo[0], 500);
+    const SocTimeTables tables(soc, TableBuild::fast, 1);
+    constexpr std::size_t threads = 8;
+    std::vector<const ModuleNames*> seen(threads, nullptr);
+    std::vector<int> pins(threads, 0);
+    std::atomic<std::size_t> waiting{threads};
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            // Start together, so the first calls race.
+            waiting.fetch_sub(1);
+            while (waiting.load() != 0) {
+            }
+            seen[t] = tables.module_names().get();
+            pins[t] = tables.estimated_functional_pins();
+        });
+    }
+    for (std::thread& worker : workers) {
+        worker.join();
+    }
+    ASSERT_NE(seen[0], nullptr);
+    EXPECT_EQ(seen[0]->size(), static_cast<std::size_t>(soc.module_count()));
+    for (std::size_t t = 0; t < threads; ++t) {
+        EXPECT_EQ(seen[t], seen[0]) << t;
+        EXPECT_EQ(pins[t], estimate_functional_pins(soc)) << t;
+    }
 }
 
 } // namespace
