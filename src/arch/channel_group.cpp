@@ -1,7 +1,6 @@
 #include "arch/channel_group.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 #include <utility>
 
@@ -16,19 +15,11 @@ SocTimeTables::SocTimeTables(const Soc& soc, TableBuild build, int threads) : so
     // Every row's extent is known up front, so the flat arrays are sized
     // once and each module's slice is then filled in place by exactly
     // one task: the result is byte-identical at any thread count.
-    const auto count = static_cast<std::size_t>(soc.module_count());
-    offsets_.resize(count + 1);
-    for (std::size_t m = 0; m < count; ++m) {
-        offsets_[m + 1] = offsets_[m] + static_cast<std::size_t>(table_extent(soc.modules()[m]));
-    }
+    lay_out_rows();
     times_.resize(offsets_.back());
-    used_widths_.resize(offsets_.back());
-    suffix_min_areas_.resize(offsets_.back());
-    volumes_.resize(count);
     const auto build_row = [&](std::size_t m) {
         const std::size_t first = offsets_[m];
-        build_time_row(soc.modules()[m], build, offsets_[m + 1] - first, times_.data() + first,
-                       used_widths_.data() + first);
+        build_time_row(soc.modules()[m], build, offsets_[m + 1] - first, times_.data() + first);
         finish_row(m);
     };
     // The rows are independent, so the build — the dominant cost of a
@@ -37,6 +28,7 @@ SocTimeTables::SocTimeTables(const Soc& soc, TableBuild build, int threads) : so
     // fan-out's wake-up cost); reference builds always fan out — each
     // module's exhaustive schedule is expensive at any SOC size, and
     // they are exactly what `bench --compare` times.
+    const auto count = static_cast<std::size_t>(module_count());
     constexpr std::size_t parallel_build_threshold = 64;
     if (count < parallel_build_threshold && build == TableBuild::fast) {
         for (std::size_t m = 0; m < count; ++m) {
@@ -48,49 +40,39 @@ SocTimeTables::SocTimeTables(const Soc& soc, TableBuild build, int threads) : so
     sum_min_areas();
 }
 
-SocTimeTables::SocTimeTables(const Soc& soc, std::vector<std::size_t> offsets,
-                             TableArray<CycleCount> times, TableArray<WireCount> used_widths)
-    : soc_(&soc),
-      offsets_(std::move(offsets)),
-      times_(std::move(times)),
-      used_widths_(std::move(used_widths))
+SocTimeTables::SocTimeTables(const Soc& soc, TableArray<CycleCount> times)
+    : soc_(&soc), times_(std::move(times))
 {
-    const auto count = static_cast<std::size_t>(soc.module_count());
-    if (offsets_.size() != count + 1) {
-        throw ValidationError("restored time tables do not match the SOC's module count");
+    lay_out_rows();
+    if (times_.size() != offsets_.back()) {
+        throw ValidationError("restored time tables do not match the SOC's rows");
     }
-    // Strictly increasing offsets from 0 to the array size: every row is
-    // non-empty and inside the arrays.
-    const bool rows_fit =
-        offsets_.front() == 0 && offsets_.back() == times_.size() &&
-        times_.size() == used_widths_.size() &&
-        std::adjacent_find(offsets_.begin(), offsets_.end(), std::greater_equal<>()) ==
-            offsets_.end();
-    if (!rows_fit) {
-        throw ValidationError("restored time table has inconsistent array sizes");
-    }
-    // The arrays come from a checksummed shared-memory blob, so damage
-    // is unlikely — but the restore path must never hand the optimizer
-    // a table violating the staircase invariants, so check them all.
+    // The times come from a checksummed shared-memory blob, so damage is
+    // unlikely — but the restore path must never hand the optimizer a
+    // table violating the staircase invariants, so check them all.
+    const auto count = static_cast<std::size_t>(module_count());
     for (std::size_t m = 0; m < count; ++m) {
         for (std::size_t i = offsets_[m]; i < offsets_[m + 1]; ++i) {
-            const auto w = static_cast<WireCount>(i - offsets_[m]) + 1;
-            const bool first = i == offsets_[m];
-            if (times_[i] <= 0 || (!first && times_[i] > times_[i - 1])) {
-                throw ValidationError("restored time table is not non-increasing");
-            }
-            if (used_widths_[i] < 1 || used_widths_[i] > w ||
-                (!first && used_widths_[i] < used_widths_[i - 1])) {
-                throw ValidationError("restored time table has invalid used widths");
+            if (times_[i] <= 0 || (i != offsets_[m] && times_[i] > times_[i - 1])) {
+                throw ValidationError("restored time table is not a positive, "
+                                      "non-increasing staircase");
             }
         }
-    }
-    suffix_min_areas_.resize(times_.size());
-    volumes_.resize(count);
-    for (std::size_t m = 0; m < count; ++m) {
         finish_row(m);
     }
     sum_min_areas();
+}
+
+void SocTimeTables::lay_out_rows()
+{
+    const auto count = static_cast<std::size_t>(soc_->module_count());
+    offsets_.resize(count + 1);
+    for (std::size_t m = 0; m < count; ++m) {
+        offsets_[m + 1] =
+            offsets_[m] + static_cast<std::size_t>(table_extent(soc_->modules()[m]));
+    }
+    suffix_min_areas_.resize(offsets_.back());
+    volumes_.resize(count);
 }
 
 void SocTimeTables::finish_row(std::size_t m)

@@ -82,14 +82,16 @@ using TableArray = std::vector<T, DefaultInitAllocator<T>>;
 /// SOC; serve's tables cache hands one to every request).
 ///
 /// The tables are stored once, as flat structure-of-arrays blocks: module
-/// m owns entries [offsets_[m], offsets_[m + 1]) of the times, used-width
-/// and suffix-min-area arrays, entry i holding the value at width i + 1.
-/// Every module's extent (its saturation width, wrapper/pareto.hpp) is
-/// known before any row is built, so the constructor sizes the arrays
-/// first and then fills the disjoint per-module slices in parallel. The
-/// accessors below are the packing hot path as well as the cold readers'
-/// interface: no bounds-checked `.at()`, no object hop — a debug assert
-/// guards the contract in debug builds.
+/// m owns entries [offsets_[m], offsets_[m + 1]) of the times and
+/// suffix-min-area arrays, entry i holding the value at width i + 1.
+/// The times are the whole state: every module's extent (its saturation
+/// width, wrapper/pareto.hpp) follows from the SOC alone, and the areas,
+/// volumes and total min area are derived from the times. So the
+/// constructor sizes the arrays first and then fills the disjoint
+/// per-module slices in parallel. The accessors below are the packing
+/// hot path as well as the cold readers' interface: no bounds-checked
+/// `.at()`, no object hop — a debug assert guards the contract in debug
+/// builds.
 class SocTimeTables {
 public:
     /// `threads` caps the parallel per-module build (<= 0: whole shared
@@ -97,16 +99,15 @@ public:
     explicit SocTimeTables(const Soc& soc, TableBuild build = TableBuild::fast,
                            int threads = 0);
 
-    /// Restore from the serialized staircases of the shared-memory cache
-    /// tier (src/shm/store.hpp): module m's row is entries [offsets[m],
-    /// offsets[m + 1]) of `times` and `used_widths`. The suffix-min areas,
-    /// volumes and total min area are derived through the same code a
-    /// fresh build uses, so a restored instance is byte-identical to the
-    /// original. Throws ValidationError when the arrays do not fit the
-    /// SOC or violate a staircase invariant (empty rows, non-monotone
-    /// times, out-of-range used widths).
-    SocTimeTables(const Soc& soc, std::vector<std::size_t> offsets,
-                  TableArray<CycleCount> times, TableArray<WireCount> used_widths);
+    /// Restore from the serialized times of the shared-memory cache tier
+    /// (src/shm/store.hpp): every module's row, back to back in module
+    /// order, each table_extent(module) entries long. The suffix-min
+    /// areas, volumes and total min area are derived through the same
+    /// code a fresh build uses, so a restored instance is byte-identical
+    /// to the original. Throws ValidationError when `times` does not
+    /// match the SOC's rows in length or a row is not a positive,
+    /// non-increasing staircase.
+    SocTimeTables(const Soc& soc, TableArray<CycleCount> times);
 
     [[nodiscard]] const Soc& soc() const noexcept { return *soc_; }
     [[nodiscard]] int module_count() const noexcept { return static_cast<int>(volumes_.size()); }
@@ -130,13 +131,6 @@ public:
     [[nodiscard]] CycleCount time(int module_index, WireCount width) const noexcept
     {
         return times_[entry(module_index, width)];
-    }
-
-    /// Width the module actually uses when `width` wires are offered
-    /// (<= width): the first width achieving time(module_index, width).
-    [[nodiscard]] WireCount used_width(int module_index, WireCount width) const noexcept
-    {
-        return used_widths_[entry(module_index, width)];
     }
 
     /// One module's staircase slice, for loops that probe the same
@@ -278,6 +272,9 @@ private:
         return offsets_[m] + clamped - 1;
     }
 
+    /// Derive the row offsets from the SOC's table extents and size every
+    /// per-entry and per-module array but the times to them.
+    void lay_out_rows();
     /// Derive the suffix-min areas of module `m`'s row and its volume.
     void finish_row(std::size_t m);
     /// Sum the per-module min areas into total_min_area_.
@@ -287,7 +284,6 @@ private:
     CycleCount total_min_area_ = 0;
     std::vector<std::size_t> offsets_;
     TableArray<CycleCount> times_;
-    TableArray<WireCount> used_widths_;
     TableArray<CycleCount> suffix_min_areas_;
     std::vector<std::int64_t> volumes_;
 

@@ -19,7 +19,7 @@ namespace mst::shm {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'S', 'T', 'S', 'H', 'M', '0', '1'};
-constexpr std::uint32_t kLayoutVersion = 1;
+constexpr std::uint32_t kLayoutVersion = 2; ///< 2: tables blobs hold times only
 constexpr std::uint64_t kArenaOffset = 16384; ///< superblock + slot table pages
 constexpr std::uint64_t kEntryAlign = 8;
 

@@ -83,28 +83,21 @@ std::string get_string(BlobReader& reader)
     return reader.bytes(size);
 }
 
-/// Sanity cap on per-module width counts: no table can legitimately
-/// exceed the global width cap, so a larger count means corruption.
-constexpr std::uint32_t kMaxWidths = 4096;
-
 } // namespace
 
 std::string ShmStore::encode_tables(const SocTimeTables& tables)
 {
-    // Per module: the effective-time and used-width staircases — the
-    // complete serialized state; every other field is derived on
-    // restore (see SocTimeTables' restore constructor).
+    // The module count, then every module's effective times back to back:
+    // the complete serialized state. Row extents follow from the SOC, and
+    // every other field is derived on restore (see SocTimeTables' restore
+    // constructor).
     std::string blob;
     const int count = tables.module_count();
     put_u32(blob, static_cast<std::uint32_t>(count));
     for (int m = 0; m < count; ++m) {
-        const WireCount widths = tables.flat_max_width(m);
-        put_u32(blob, static_cast<std::uint32_t>(widths));
-        for (WireCount w = 1; w <= widths; ++w) {
-            put_u64(blob, static_cast<std::uint64_t>(tables.time(m, w)));
-        }
-        for (WireCount w = 1; w <= widths; ++w) {
-            put_u32(blob, static_cast<std::uint32_t>(tables.used_width(m, w)));
+        const SocTimeTables::TimeRow row = tables.time_row(m);
+        for (std::size_t i = 0; i < row.count; ++i) {
+            put_u64(blob, static_cast<std::uint64_t>(row.times[i]));
         }
     }
     return blob;
@@ -114,35 +107,18 @@ std::unique_ptr<SocTimeTables> ShmStore::decode_tables(const std::string& blob,
                                                        const Soc& soc)
 {
     BlobReader reader{blob};
-    const std::uint32_t count = reader.u32();
-    if (count != static_cast<std::uint32_t>(soc.module_count())) {
+    if (reader.u32() != static_cast<std::uint32_t>(soc.module_count())) {
         throw ValidationError("shm tables blob does not match the SOC's module count");
     }
-    std::vector<std::size_t> offsets{0};
-    offsets.reserve(std::size_t{count} + 1);
-    // Each entry takes 12 blob bytes: an upper bound on the row widths.
-    TableArray<CycleCount> times;
-    TableArray<WireCount> used;
-    times.reserve(blob.size() / 12);
-    used.reserve(blob.size() / 12);
-    for (std::uint32_t m = 0; m < count; ++m) {
-        const std::uint32_t widths = reader.u32();
-        if (widths == 0 || widths > kMaxWidths) {
-            throw ValidationError("shm tables blob has an invalid width count");
-        }
-        offsets.push_back(offsets.back() + widths);
-        for (std::uint32_t w = 0; w < widths; ++w) {
-            times.push_back(static_cast<CycleCount>(reader.u64()));
-        }
-        for (std::uint32_t w = 0; w < widths; ++w) {
-            used.push_back(static_cast<WireCount>(reader.u32()));
-        }
+    if ((blob.size() - reader.pos) % 8 != 0) {
+        throw ValidationError("shm tables blob ends inside a time");
     }
-    if (reader.pos != blob.size()) {
-        throw ValidationError("shm tables blob has trailing bytes");
+    // The restore constructor checks the length against the SOC's rows.
+    TableArray<CycleCount> times((blob.size() - reader.pos) / 8);
+    for (CycleCount& time : times) {
+        time = static_cast<CycleCount>(reader.u64());
     }
-    return std::make_unique<SocTimeTables>(soc, std::move(offsets), std::move(times),
-                                           std::move(used));
+    return std::make_unique<SocTimeTables>(soc, std::move(times));
 }
 
 std::string ShmStore::encode_outcome(const std::string& memo_key,

@@ -3,9 +3,10 @@
 //
 // The store holds two entry families, both addressed by the existing
 // FNV-1a content fingerprints:
-//   * wrapper-time-table blobs (serialized SocTimeTables, keyed by SOC
-//     content fingerprint) — restoring one skips the dominant cost of a
-//     cold optimize request,
+//   * wrapper-time-table blobs (a SocTimeTables' effective times, keyed
+//     by SOC content fingerprint; every row's extent and every derived
+//     array come from the SOC on restore) — restoring one skips the
+//     table build of a cold optimize request,
 //   * solution-memo outcomes (serialized SolutionOutcome, keyed by the
 //     full memo-key string, hashed for addressing and stored verbatim
 //     in the payload so a hash collision reads as a miss, never as a
@@ -94,7 +95,8 @@ public:
     // --- Blob codecs (exposed for tests; validated on decode) ---
 
     [[nodiscard]] static std::string encode_tables(const SocTimeTables& tables);
-    /// Throws ValidationError on a malformed blob.
+    /// Throws ValidationError on a malformed blob, or one whose times do
+    /// not fit `soc`'s rows.
     [[nodiscard]] static std::unique_ptr<SocTimeTables> decode_tables(
         const std::string& blob, const Soc& soc);
     [[nodiscard]] static std::string encode_outcome(const std::string& memo_key,

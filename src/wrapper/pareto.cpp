@@ -29,26 +29,22 @@ WireCount table_extent(const Module& module)
 }
 
 void build_time_row(const Module& module, TableBuild build, std::size_t count,
-                    CycleCount* times, WireCount* used_widths)
+                    CycleCount* times)
 {
     const WrapperTimeCalculator calculator(module);
     std::vector<FlipFlopCount> lpt_scratch; // reused across the width loop
     CycleCount best_time = std::numeric_limits<CycleCount>::max();
-    WireCount best_width = 0;
     const auto limit = static_cast<WireCount>(count);
     for (WireCount w = 1; w <= limit; ++w) {
         // A width whose lower bound cannot beat the running best leaves
-        // the effective time and the used width as they are.
+        // the effective time as it is.
         const std::optional<CycleCount> raw =
             build == TableBuild::fast ? calculator.time_if_can_beat(w, best_time, lpt_scratch)
                                       : wrapped_test_time(module, w);
         if (raw && *raw < best_time) {
             best_time = *raw;
-            best_width = w;
         }
-        const auto index = static_cast<std::size_t>(w) - 1;
-        times[index] = best_time;
-        used_widths[index] = best_width;
+        times[static_cast<std::size_t>(w) - 1] = best_time;
     }
 }
 
@@ -57,7 +53,7 @@ void fill_suffix_min_areas(const CycleCount* times, std::size_t count, CycleCoun
     // Beyond the row the time saturates, so wider groups only cost more
     // area and the suffix over the row already covers them. The head,
     // min over w of w * effective(w), also equals min over w of w * raw(w):
-    // effective(w) = raw(used(w)) with used(w) <= w, so no effective area
+    // effective(w) = raw(v) for some v <= w, so no effective area
     // undercuts the raw minimum, while effective <= raw bounds it from
     // the other side.
     CycleCount best_area = 0;

@@ -2,15 +2,13 @@
 //
 // The wrapped test time t(w) produced by a list-scheduling wrapper design
 // is a staircase in the TAM width w. A module's *row* records, for every
-// width 1..extent, the two queries the optimizers need:
-//
-//   - the *effective* time: a module placed on a group of width w may
-//     always leave wires idle and use its best width <= w, so the row
-//     keeps min over widths <= w of t. Because list scheduling gives no
-//     hard guarantee that t is monotone in w, this is what makes time(w)
-//     non-increasing by construction, which the architecture layer and
-//     the paper's reasoning both rely on;
-//   - the used width: the first width achieving that minimum.
+// width 1..extent, the one number the optimizers need: the *effective*
+// time. A module placed on a group of width w may always leave wires
+// idle and use its best width <= w, so the row keeps min over widths
+// <= w of t. Because list scheduling gives no hard guarantee that t is
+// monotone in w, this is what makes time(w) non-increasing by
+// construction, which the architecture layer and the paper's reasoning
+// both rely on.
 //
 // Rows have no storage of their own. SocTimeTables (arch/channel_group)
 // holds every module's row in one set of flat arrays and fills each
@@ -18,8 +16,7 @@
 // fill_suffix_min_areas(), the one row-building routine.
 //
 // The fast build skips the widths that cannot matter. Only the running
-// minimum of t and the width achieving it survive into a row, so a
-// width w whose closed-form lower bound on t(w) is already >= the best
+// minimum of t survives into a row, so a width w whose closed-form lower bound on t(w) is already >= the best
 // time so far changes nothing in the row — it is recorded without any
 // scheduling (see wrapper/time_calculator.hpp for the bound and its
 // soundness argument). The rows stay identical to the reference build,
@@ -58,10 +55,10 @@ inline constexpr WireCount width_cap = 512;
 [[nodiscard]] WireCount table_extent(const Module& module);
 
 /// Fill `module`'s row of `count` (== table_extent(module)) widths:
-/// times[i] is the effective time at width i + 1 and used_widths[i] the
-/// width achieving it. Both buffers must hold `count` entries.
+/// times[i] is the effective time at width i + 1. The buffer must hold
+/// `count` entries.
 void build_time_row(const Module& module, TableBuild build, std::size_t count,
-                    CycleCount* times, WireCount* used_widths);
+                    CycleCount* times);
 
 /// areas[i] = min over widths w >= i + 1 (within the row) of
 /// w * times[w - 1]: the area floor of placing the module on a group at

@@ -151,8 +151,6 @@ TEST(SocTimeTables, FlatAccessorsMatchBruteForce)
             const CycleCount raw = wrapped_test_time(module, std::min(w, widths));
             best = w == 1 ? raw : std::min(best, raw);
             EXPECT_EQ(tables.time(m, w), best) << "m=" << m << " w=" << w;
-            EXPECT_EQ(wrapped_test_time(module, tables.used_width(m, w)), best)
-                << "m=" << m << " w=" << w;
             CycleCount floor = tables.time(m, widths) * widths;
             for (WireCount v = std::min(w, widths); v <= widths; ++v) {
                 floor = std::min(floor, tables.time(m, v) * v);

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -217,6 +220,37 @@ TEST(ShmSegment, InterruptedRecoveryIsRetriedByTheNextAttempt)
     EXPECT_GT(segment->counters().truncated_bytes, 0U);
 }
 
+TEST(ShmSegment, AttachRefusesAnotherLayoutVersion)
+{
+    const std::string name = unique_name("version");
+    constexpr std::size_t bytes = 1 << 20;
+    auto segment = Segment::create_or_attach(name, bytes);
+    const SegmentUnlinker cleanup(segment);
+
+    // Rewrite the live superblock's layout version (the u32 right after
+    // the 8-byte magic) to 1 through a second, raw mapping.
+    const int fd = ::shm_open(name.c_str(), O_RDWR, 0600);
+    ASSERT_GE(fd, 0);
+    void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    ::close(fd);
+    ASSERT_NE(base, MAP_FAILED);
+    const std::uint32_t old_version = 1;
+    std::memcpy(static_cast<char*>(base) + 8, &old_version, sizeof old_version);
+    ::munmap(base, bytes);
+
+    try {
+        (void)Segment::attach(name);
+        ADD_FAILURE() << "attach accepted layout version 1";
+    } catch (const Error& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("layout version 1"), std::string::npos) << message;
+        EXPECT_NE(message.find("speaks 2"), std::string::npos) << message;
+    }
+    const std::shared_ptr<ShmStore> store = ShmStore::open(name, bytes);
+    EXPECT_FALSE(store->attached());
+    EXPECT_EQ(store->counters().fallbacks, 1U);
+}
+
 TEST(ShmSegment, ChecksumFailureIsATypedMissNotACrash)
 {
     const FaultPlanGuard guard;
@@ -310,6 +344,38 @@ TEST(ShmStore, TablesBlobRoundTripsByteIdentically)
 
     EXPECT_THROW((void)ShmStore::decode_tables("garbage", *soc), ValidationError);
     EXPECT_THROW((void)ShmStore::decode_tables(std::string(), *soc), ValidationError);
+}
+
+TEST(ShmStore, TablesBlobRejectsAForeignSocAndATruncatedBlob)
+{
+    const Soc d695 = make_benchmark_soc("d695");
+    const std::string blob = ShmStore::encode_tables(SocTimeTables(d695));
+    EXPECT_THROW((void)ShmStore::decode_tables(blob, make_benchmark_soc("p22810")),
+                 ValidationError);
+    EXPECT_THROW((void)ShmStore::decode_tables(blob.substr(0, blob.size() - 4), d695),
+                 ValidationError);
+}
+
+TEST(ShmStore, InvalidTablesBlobFallsBackToALocalBuild)
+{
+    auto segment = Segment::create_or_attach(unique_name("badtables"), 1 << 20);
+    const SegmentUnlinker cleanup(segment);
+    ShmStore store(segment);
+
+    // A well-checksummed entry whose times do not fit the SOC's rows
+    // (p22810's tables under d695's key): a counted miss, never a throw.
+    const Soc d695 = make_benchmark_soc("d695");
+    const std::string foreign =
+        ShmStore::encode_tables(SocTimeTables(make_benchmark_soc("p22810")));
+    ASSERT_EQ(segment->publish(42, Segment::Kind::tables, foreign.data(), foreign.size()),
+              Segment::PublishResult::published);
+    EXPECT_EQ(store.load_tables(42, d695), nullptr);
+
+    const shm::StoreCounters counters = store.counters();
+    EXPECT_EQ(counters.hits, 0U);
+    EXPECT_EQ(counters.misses, 1U);
+    EXPECT_EQ(counters.fallbacks, 1U);
+    EXPECT_EQ(counters.checksum_failures, 0U);
 }
 
 TEST(ShmStore, OutcomeBlobRoundTripsAndGuardsAgainstCollisions)

@@ -1,7 +1,9 @@
 // Unit and property tests for a module's time-table row: monotone
-// effective times, used widths, minimal-width queries, the min-area
-// rectangle and the row extent.
+// effective times (the running minimum of the raw design), minimal-width
+// queries, the min-area rectangle and the row extent.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "arch/channel_group.hpp"
 #include "soc/generator.hpp"
@@ -39,14 +41,16 @@ TEST(TimeRow, EffectiveTimeNeverExceedsRawDesign)
     }
 }
 
-TEST(TimeRow, UsedWidthAchievesTheTime)
+TEST(TimeRow, EffectiveTimeIsTheRunningMinimumOfTheRawDesign)
 {
-    const Module m("m", 6, 6, 0, 11, {14, 3});
-    const OneModule row(m);
-    for (WireCount w = 1; w <= row.max_width(); ++w) {
-        const WireCount used = row.tables.used_width(0, w);
-        EXPECT_LE(used, w);
-        EXPECT_EQ(wrapped_test_time(m, used), row.time(w)) << "w=" << w;
+    for (const Module& m : {Module("m", 6, 6, 0, 11, {14, 3}),
+                            Module("m", 20, 20, 0, 40, {33, 21, 13, 8, 8, 5})}) {
+        const OneModule row(m);
+        CycleCount best = wrapped_test_time(m, 1);
+        for (WireCount w = 1; w <= row.max_width(); ++w) {
+            best = std::min(best, wrapped_test_time(m, w));
+            EXPECT_EQ(row.time(w), best) << "chains=" << m.scan_chain_count() << " w=" << w;
+        }
     }
 }
 
@@ -54,8 +58,6 @@ TEST(TimeRow, SaturatesBeyondMaxWidth)
 {
     const OneModule row(Module("m", 2, 2, 0, 5, {8}));
     EXPECT_EQ(row.time(row.max_width() + 50), row.time(row.max_width()));
-    EXPECT_EQ(row.tables.used_width(0, row.max_width() + 50),
-              row.tables.used_width(0, row.max_width()));
 }
 
 TEST(TimeRow, MinWidthIsMinimal)
@@ -79,21 +81,6 @@ TEST(TimeRow, ImpossibleDepthReturnsNullopt)
 {
     const OneModule row(Module("m", 1, 1, 0, 100, {50}));
     EXPECT_FALSE(row.tables.min_width_for(0, 10).has_value());
-}
-
-TEST(TimeRow, UsedWidthsStepExactlyWhereTheTimeDrops)
-{
-    // The used width moves to w exactly at the widths where the
-    // effective time strictly drops (the row's Pareto points).
-    const OneModule row(Module("m", 20, 20, 0, 40, {33, 21, 13, 8, 8, 5}));
-    EXPECT_EQ(row.tables.used_width(0, 1), 1);
-    for (WireCount w = 2; w <= row.max_width(); ++w) {
-        const bool drops = row.time(w) < row.time(w - 1);
-        EXPECT_EQ(row.tables.used_width(0, w) == w, drops) << "w=" << w;
-        if (!drops) {
-            EXPECT_EQ(row.tables.used_width(0, w), row.tables.used_width(0, w - 1));
-        }
-    }
 }
 
 TEST(TimeRow, MinAreaIsALowerEnvelope)

@@ -99,8 +99,6 @@ void expect_tables_equal(const SocTimeTables& actual, const SocTimeTables& expec
         EXPECT_EQ(actual.volume_bits(m), expected.volume_bits(m)) << soc << " m=" << m;
         for (WireCount w = 1; w <= expected.flat_max_width(m); ++w) {
             ASSERT_EQ(actual.time(m, w), expected.time(m, w)) << soc << " m=" << m << " w=" << w;
-            ASSERT_EQ(actual.used_width(m, w), expected.used_width(m, w))
-                << soc << " m=" << m << " w=" << w;
             ASSERT_EQ(actual.min_area_from(m, w), expected.min_area_from(m, w))
                 << soc << " m=" << m << " w=" << w;
         }
@@ -110,8 +108,8 @@ void expect_tables_equal(const SocTimeTables& actual, const SocTimeTables& expec
 TEST(SocTimeTables, PrunedFastBuildEqualsReferenceBuild)
 {
     // The fast build skips widths by closed-form bounds; the reference
-    // evaluates design_wrapper at every width. Extents, times, used
-    // widths and suffix areas must all agree, at any thread count.
+    // evaluates design_wrapper at every width. Extents, times and suffix
+    // areas must all agree, at any thread count.
     for (const Soc& soc : table_build_socs()) {
         const SocTimeTables reference(soc, TableBuild::reference);
         expect_tables_equal(SocTimeTables(soc, TableBuild::fast, 1), reference);
@@ -145,51 +143,45 @@ TEST(SocTimeTables, ShmCodecRoundTripsTheFlatTables)
 TEST(SocTimeTables, ShmTablesBlobBytesArePinned)
 {
     // The blob format is shared with segments written by other builds:
-    // per module a u32 width count, the u64 times, then the u32 used
-    // widths, little-endian. These digests pin its bytes.
+    // the u32 module count, then every row's u64 times back to back,
+    // little-endian. These digests pin its bytes.
     const auto digest = [](const std::string& name) {
         const std::string blob = shm::ShmStore::encode_tables(SocTimeTables(make_benchmark_soc(name)));
         return shm::Segment::fnv1a(blob.data(), blob.size());
     };
-    EXPECT_EQ(digest("d695"), 0x0c2612de415c4019ULL);
-    EXPECT_EQ(digest("p93791"), 0x493540e6673acf69ULL);
+    EXPECT_EQ(digest("d695"), 0x43ec63505c3eac40ULL);
+    EXPECT_EQ(digest("p93791"), 0x70becb392f74aaf7ULL);
 }
 
 TEST(SocTimeTables, RestoreRejectsBrokenStaircases)
 {
     const Soc soc = make_benchmark_soc("d695");
     const SocTimeTables built(soc);
-    const auto restore = [&](std::vector<std::size_t> offsets, TableArray<CycleCount> times,
-                             TableArray<WireCount> used) {
-        return SocTimeTables(soc, std::move(offsets), std::move(times), std::move(used));
+    const auto restore = [&](TableArray<CycleCount> times) {
+        return SocTimeTables(soc, std::move(times));
     };
-    std::vector<std::size_t> offsets{0};
     TableArray<CycleCount> times;
-    TableArray<WireCount> used;
     for (int m = 0; m < built.module_count(); ++m) {
         for (WireCount w = 1; w <= built.flat_max_width(m); ++w) {
             times.push_back(built.time(m, w));
-            used.push_back(built.used_width(m, w));
         }
-        offsets.push_back(times.size());
     }
-    expect_tables_equal(restore(offsets, times, used), built);
+    expect_tables_equal(restore(times), built);
 
-    EXPECT_THROW((void)restore({0, times.size()}, times, used), ValidationError);
-    std::vector<std::size_t> empty_row = offsets;
-    empty_row[1] = 0;
-    EXPECT_THROW((void)restore(empty_row, times, used), ValidationError);
-    std::vector<std::size_t> overlong_row = offsets;
-    overlong_row[1] = times.size() + 7; // later offsets fall back inside
-    EXPECT_THROW((void)restore(overlong_row, times, used), ValidationError);
+    // Module 0's row is wider than one entry, so entry 1 is in its row.
+    ASSERT_GT(built.flat_max_width(0), 1);
+    TableArray<CycleCount> short_by_one = times;
+    short_by_one.pop_back();
+    EXPECT_THROW((void)restore(short_by_one), ValidationError);
+    TableArray<CycleCount> long_by_one = times;
+    long_by_one.push_back(long_by_one.back());
+    EXPECT_THROW((void)restore(long_by_one), ValidationError);
     TableArray<CycleCount> rising = times;
     rising[1] = rising[0] + 1;
-    EXPECT_THROW((void)restore(offsets, rising, used), ValidationError);
-    TableArray<WireCount> too_wide = used;
-    too_wide[0] = 2;
-    EXPECT_THROW((void)restore(offsets, times, too_wide), ValidationError);
-    used.pop_back();
-    EXPECT_THROW((void)restore(offsets, times, used), ValidationError);
+    EXPECT_THROW((void)restore(rising), ValidationError);
+    TableArray<CycleCount> zero = times;
+    zero.back() = 0;
+    EXPECT_THROW((void)restore(zero), ValidationError);
 }
 
 TEST(SocTimeTables, TotalMinAreaSumsModuleMinima)
